@@ -16,13 +16,14 @@
  *   faded_client --socket PATH --sessions N --concurrency K
  *       Load mode: K client threads keep N sessions' worth of work in
  *       flight (distinct seed offsets), then emit one JSON line of
- *       sessions/s throughput (scripts/bench_baseline.sh).
+ *       sessions/s throughput.
  *
  * Config flags: --monitor M --profile P (repeatable) --shards N
  * --clusters C --fades K --policy lockstep|parallel
- * --engine percycle|batched|rungrain --warm N --instr N
+ * --engine percycle|rungrain --warm N --instr N
  * --seed-offset N --slow-ms N (sleep per received frame; exercises
- * daemon backpressure).
+ * daemon backpressure). An unknown --policy or --engine value is a
+ * usage error (exit 2).
  */
 
 #include <atomic>
@@ -61,11 +62,44 @@ usage()
         "usage: faded_client --socket PATH [--monitor M] [--profile P]...\n"
         "                    [--shards N] [--clusters C] [--fades K]\n"
         "                    [--policy lockstep|parallel]\n"
-        "                    [--engine percycle|batched|rungrain]\n"
+        "                    [--engine percycle|rungrain]\n"
         "                    [--warm N] [--instr N] [--seed-offset N]\n"
         "                    [--upload FILE.ftrace] [--check] [--slow-ms N]\n"
         "                    [--sessions N --concurrency K]\n");
     return 2;
+}
+
+/** Wire policy value of @p name, or -1 when unknown. */
+int
+wirePolicy(const std::string &name)
+{
+    if (name == "lockstep")
+        return 0;
+    if (name == "parallel")
+        return 1;
+    std::fprintf(stderr,
+                 "unknown --policy '%s' (expected lockstep or parallel)\n",
+                 name.c_str());
+    return -1;
+}
+
+/** Wire engine value of @p name, or -1 when unknown or retired. */
+int
+wireEngine(const std::string &name)
+{
+    if (name == "percycle")
+        return 0;
+    if (name == "rungrain")
+        return 2;
+    if (name == "batched")
+        std::fprintf(stderr, "the batched engine was retired; use "
+                             "percycle (the reference) or rungrain\n");
+    else
+        std::fprintf(stderr,
+                     "unknown --engine '%s' (expected percycle or "
+                     "rungrain)\n",
+                     name.c_str());
+    return -1;
 }
 
 bool
@@ -217,13 +251,15 @@ main(int argc, char **argv)
             opt.wc.fadesPerShard =
                 unsigned(std::strtoul(next("--fades"), nullptr, 10));
         } else if (!std::strcmp(argv[i], "--policy")) {
-            opt.wc.policy =
-                !std::strcmp(next("--policy"), "parallel") ? 1 : 0;
+            int v = wirePolicy(next("--policy"));
+            if (v < 0)
+                return usage();
+            opt.wc.policy = std::uint8_t(v);
         } else if (!std::strcmp(argv[i], "--engine")) {
-            std::string e = next("--engine");
-            opt.wc.engine = e == "rungrain" ? 2
-                            : e == "batched" ? 1
-                                             : 0;
+            int v = wireEngine(next("--engine"));
+            if (v < 0)
+                return usage();
+            opt.wc.engine = std::uint8_t(v);
         } else if (!std::strcmp(argv[i], "--warm")) {
             opt.wc.warmup = std::strtoull(next("--warm"), nullptr, 10);
         } else if (!std::strcmp(argv[i], "--instr")) {

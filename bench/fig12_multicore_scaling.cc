@@ -7,10 +7,10 @@
  *    behind one shared L2, running a multiprogrammed SPEC mix with
  *    MemLeak. Each N runs under every scheduler policy × intra-shard
  *    engine combination — {Lockstep, ParallelBatched} × {per-cycle,
- *    batched, run-grain} — and the harness hard-checks that per-cycle
- *    and batched produce bit-identical simulated statistics and that
- *    the run-grain engine is policy-invariant bit for bit, before
- *    reporting wall clock. Run-grain is NOT compared against per-cycle
+ *    run-grain} — and the harness hard-checks that each engine is
+ *    policy-invariant bit for bit and that the per-cycle reference
+ *    monitored at least one event, before reporting wall clock.
+ *    Run-grain is NOT compared against per-cycle
  *    here: its timing model slices the warmup/measure windows at
  *    different stream positions, and MemLeak's handler-prepare
  *    feedback diverges functionally by design (the matched-window
@@ -23,9 +23,8 @@
  *    shapes (system/topology.hh) — clusters ∈ {1, 2, 4} shared-L2
  *    slices behind the home-node directory × fadesPerShard ∈ {1, 2}
  *    filter units — with a per-shape determinism hard-check:
- *    Lockstep/per-cycle vs ParallelBatched/batched, and
- *    Lockstep/run-grain vs ParallelBatched/run-grain, must each agree
- *    bit for bit.
+ *    Lockstep vs ParallelBatched must agree bit for bit under each
+ *    engine.
  *
  * One machine-readable JSON line is emitted per (N, policy, engine,
  * clusters, fadesPerShard) so BENCH_*.json trajectories can track
@@ -88,8 +87,19 @@ runConfig(const MultiCoreConfig &cfg)
     return t;
 }
 
-constexpr Engine kEngines[] = {Engine::PerCycle, Engine::Batched,
-                               Engine::RunGrain};
+constexpr Engine kEngines[] = {Engine::PerCycle, Engine::RunGrain};
+
+/** A reference run that monitored nothing makes every comparison
+ *  against it vacuous: report it and fail. */
+bool
+vacuous(const TimedRun &ref, const char *where)
+{
+    if (ref.result.totalEvents != 0)
+        return false;
+    std::printf("VACUOUS: the %s reference run monitored 0 events\n",
+                where);
+    return true;
+}
 
 const char *
 policyName(SchedulerPolicy p)
@@ -130,38 +140,26 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
             std::to_string(n) + " (MemLeak, SPEC mix)")
                .c_str());
 
-    // All six policy × engine combinations; index [engine][policy].
-    TimedRun runs[3][2];
-    for (int e = 0; e < 3; ++e)
+    // All four policy × engine combinations; index [engine][policy].
+    // The run-grain timing model slices windows differently (so it is
+    // not compared against per-cycle here), but each engine must be
+    // policy-invariant bit for bit.
+    TimedRun runs[2][2];
+    for (int e = 0; e < 2; ++e) {
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched})
             runs[e][pol == SchedulerPolicy::ParallelBatched] =
                 runConfig(baseConfig(mix, n, pol, kEngines[e]));
-
-    // Per-cycle and batched are bit-identical everywhere; the
-    // run-grain timing model slices windows differently (so it is not
-    // compared against them here) but must itself be policy-invariant
-    // bit for bit.
-    const TimedRun &reference = runs[0][0];
-    for (int e = 0; e < 3; ++e) {
-        if (kEngines[e] == Engine::RunGrain)
-            continue;
-        for (int p = 0; p < 2; ++p) {
-            if (runs[e][p].fingerprint != reference.fingerprint) {
-                std::printf("DIVERGENCE at N=%u: engine=%s policy=%s "
-                            "does not match the per-cycle lockstep "
-                            "reference\n",
-                            n, engineName(kEngines[e]),
-                            p ? "parallel" : "lockstep");
-                return false;
-            }
+        if (runs[e][0].fingerprint != runs[e][1].fingerprint) {
+            std::printf("DIVERGENCE at N=%u: engine %s is not "
+                        "policy-invariant\n",
+                        n, engineName(kEngines[e]));
+            return false;
         }
     }
-    if (runs[2][0].fingerprint != runs[2][1].fingerprint) {
-        std::printf("DIVERGENCE at N=%u: run-grain engine is not "
-                    "policy-invariant\n", n);
+    const TimedRun &reference = runs[0][0];
+    if (vacuous(reference, "per-cycle lockstep"))
         return false;
-    }
 
     const MultiCoreResult &r = reference.result;
     TextTable t;
@@ -186,9 +184,8 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
                 (unsigned long long)r.totalEvents,
                 r.filteringRatio * 100.0,
                 (unsigned long long)r.fade.crossShardEvents);
-    std::printf("wall-clock (percycle/batched bit-identical, rungrain "
-                "policy-invariant):\n");
-    for (int e = 0; e < 3; ++e) {
+    std::printf("wall-clock (each engine policy-invariant):\n");
+    for (int e = 0; e < 2; ++e) {
         const TimedRun &lock = runs[e][0];
         const TimedRun &par = runs[e][1];
         std::printf("  engine %-8s lockstep %.3fs | parallel %.3fs "
@@ -197,11 +194,9 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
                     par.wallSeconds,
                     lock.wallSeconds / par.wallSeconds);
     }
-    std::printf("  batched/percycle engine speedup (lockstep): %.2fx\n",
-                runs[0][0].wallSeconds / runs[1][0].wallSeconds);
     std::printf("  rungrain/percycle engine speedup (lockstep): %.2fx\n",
-                runs[0][0].wallSeconds / runs[2][0].wallSeconds);
-    for (int e = 0; e < 3; ++e)
+                runs[0][0].wallSeconds / runs[1][0].wallSeconds);
+    for (int e = 0; e < 2; ++e)
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched})
             jsonLine(n, pol, kEngines[e], 1, 1,
@@ -228,9 +223,10 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
 }
 
 /**
- * One clustered shape: run the two extreme policy/engine corners,
- * hard-check they agree bit for bit (the cross-topology determinism
- * gate), emit both JSON lines, and return the reference for the table.
+ * One clustered shape: run both policies under both engines,
+ * hard-check each engine's pair agrees bit for bit (the cross-topology
+ * determinism gate), emit the JSON lines, and return the per-cycle
+ * lockstep reference for the table.
  */
 bool
 topologyPoint(const std::vector<BenchProfile> &mix, unsigned n,
@@ -240,13 +236,14 @@ topologyPoint(const std::vector<BenchProfile> &mix, unsigned n,
                                         SchedulerPolicy::Lockstep,
                                         Engine::PerCycle, clusters,
                                         fades));
+    if (vacuous(ref, "per-cycle lockstep"))
+        return false;
     TimedRun cross = runConfig(
         baseConfig(mix, n, SchedulerPolicy::ParallelBatched,
-                   Engine::Batched, clusters, fades));
+                   Engine::PerCycle, clusters, fades));
     if (cross.fingerprint != ref.fingerprint) {
         std::printf("DIVERGENCE at N=%u clusters=%u fades=%u: "
-                    "parallel/batched does not match "
-                    "lockstep/per-cycle\n",
+                    "per-cycle is not policy-invariant\n",
                     n, clusters, fades);
         return false;
     }
@@ -264,7 +261,7 @@ topologyPoint(const std::vector<BenchProfile> &mix, unsigned n,
     }
     jsonLine(n, SchedulerPolicy::Lockstep, Engine::PerCycle, clusters,
              fades, ref);
-    jsonLine(n, SchedulerPolicy::ParallelBatched, Engine::Batched,
+    jsonLine(n, SchedulerPolicy::ParallelBatched, Engine::PerCycle,
              clusters, fades, cross);
     jsonLine(n, SchedulerPolicy::ParallelBatched, Engine::RunGrain,
              clusters, fades, grain);
@@ -304,9 +301,8 @@ topologySweep(const std::vector<BenchProfile> &mix)
         }
     }
     t.print();
-    std::printf("\nevery shape bit-identical across "
-                "lockstep/per-cycle vs parallel/batched, and "
-                "policy-invariant under run-grain\n\n");
+    std::printf("\nevery shape policy-invariant bit for bit under "
+                "both engines\n\n");
     return true;
 }
 
@@ -319,40 +315,31 @@ smoke()
     gMeasure = 16000;
     const std::vector<BenchProfile> mix = multiprogramWorkloads("hmmer");
     header("fig12 --smoke: 2x2 clustered topology, 2 FADEs/shard");
-    TimedRun ref, grainRef;
-    bool first = true, grainFirst = true;
+    // Run-grain slices windows differently from per-cycle (not
+    // compared), but each engine must be policy-invariant bitwise.
+    TimedRun ref; // per-cycle lockstep
     for (Engine eng : kEngines) {
+        TimedRun lock;
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched}) {
             MultiCoreConfig cfg = baseConfig(mix, 0, pol, eng, 2, 2);
             cfg.topology.shardsPerCluster = 2; // 2 clusters x 2 shards
             TimedRun t = runConfig(cfg);
             jsonLine(4, pol, eng, 2, 2, t);
-            if (eng == Engine::RunGrain) {
-                // Run-grain slices windows differently from per-cycle
-                // (not compared), but must be policy-invariant bitwise.
-                if (grainFirst) {
-                    grainRef = std::move(t);
-                    grainFirst = false;
-                } else if (t.fingerprint != grainRef.fingerprint) {
-                    std::printf("SMOKE DIVERGENCE: run-grain not "
-                                "policy-invariant\n");
-                    return 1;
-                }
-                continue;
-            }
-            if (first) {
-                ref = std::move(t);
-                first = false;
-                continue;
-            }
-            if (t.fingerprint != ref.fingerprint) {
-                std::printf("SMOKE DIVERGENCE: policy=%s engine=%s\n",
-                            policyName(pol), engineName(eng));
+            if (pol == SchedulerPolicy::Lockstep) {
+                lock = std::move(t);
+            } else if (t.fingerprint != lock.fingerprint) {
+                std::printf("SMOKE DIVERGENCE: engine %s is not "
+                            "policy-invariant\n",
+                            engineName(eng));
                 return 1;
             }
         }
+        if (eng == Engine::PerCycle)
+            ref = std::move(lock);
     }
+    if (vacuous(ref, "per-cycle lockstep"))
+        return 1;
     const MultiCoreResult &r = ref.result;
     if (r.fade.crossShardEvents != 0 || r.l2RemoteAccesses == 0) {
         std::printf("SMOKE FAILURE: cross-shard events %llu, "
@@ -362,8 +349,8 @@ smoke()
         return 1;
     }
     std::printf("smoke OK: 4 shards, 2 clusters, remote share %.1f%%, "
-                "all 6 combinations checked (percycle/batched bitwise, "
-                "rungrain policy-invariant)\n",
+                "all 4 combinations checked (each engine "
+                "policy-invariant)\n",
                 100.0 * r.l2RemoteAccesses /
                     double(r.l2LocalAccesses + r.l2RemoteAccesses));
     return 0;

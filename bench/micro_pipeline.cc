@@ -1,15 +1,15 @@
 /**
  * @file
  * Single-shard engine microbenchmark: events/sec of the per-cycle
- * reference engine vs the run-to-stall batched engine
- * (system/pipeline.hh) vs the run-grain engine (system/rungrain.hh) on
+ * reference engine vs the run-grain engine (system/rungrain.hh) on
  * one monitored shard, plus the bulk-transport throughput of the
- * ring-buffer BoundedQueue. Per-cycle and batched must agree bit for
- * bit; the run-grain engine must agree on every functional value
- * (event counts, filter verdicts, handler work, bug reports) on a
- * matched instruction window — its timing is modeled, so cycle counts
- * and slice-boundary overshoot differ by design (docs/ARCHITECTURE.md
- * "Run-grain engine"). Both checks are hard failures. There is deliberately no perf *gate*: CI
+ * ring-buffer BoundedQueue. The run-grain engine must agree with the
+ * reference on every functional value (event counts, filter verdicts,
+ * handler work, bug reports) on a matched instruction window — its
+ * timing is modeled, so cycle counts and slice-boundary overshoot
+ * differ by design (docs/ARCHITECTURE.md "Run-grain engine") — and
+ * the reference run must monitor at least one event. Both checks are
+ * hard failures. There is deliberately no perf *gate*: CI
  * runs this as a smoke test (--smoke) and perf numbers are tracked
  * through the emitted JSON lines (see docs/BENCHMARKS.md — measure
  * speedups on a quiet multi-core host, not a shared 1-CPU container).
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "system/pipeline.hh"
 #include "system/rungrain.hh"
 
 using namespace fade;
@@ -45,35 +44,9 @@ struct EngineRun
     RunResult run;
     double medianWall = 0.0;
     double bestWall = 0.0;
-    PipelineDriverStats driver;
     /** Measured-slice deltas of the run-grain decomposition. */
     RunGrainDriverStats grain;
-    std::vector<std::uint64_t> fingerprint;
 };
-
-/** Compact all-stats fingerprint of one single-shard run. */
-std::vector<std::uint64_t>
-fingerprintOf(MonitoringSystem &sys, Monitor *mon, const RunResult &r)
-{
-    std::vector<std::uint64_t> fp = {
-        r.appInstructions, r.cycles,        r.monitoredEvents,
-        r.appStallCycles,  r.monIdleCycles, r.handlerInstructions,
-        r.handlersRun,
-    };
-    const FadeStats &f = sys.fade()->stats();
-    fp.insert(fp.end(),
-              {f.instEvents, f.filtered, f.filteredCC, f.filteredRU,
-               f.partialPass, f.partialFail, f.unfiltered, f.stackEvents,
-               f.highLevelEvents, f.shots, f.comparisons, f.stallUeqFull,
-               f.stallBlocking, f.stallDrain, f.stallFsqFull, f.suuCycles,
-               f.busyCycles, f.idleCycles});
-    fp.push_back(sys.eventQueue().pushes());
-    fp.push_back(sys.eventQueue().rejects());
-    fp.push_back(sys.eventQueue().occupancy().maxValue());
-    fp.push_back(sys.unfilteredQueue().pushes());
-    fp.push_back(mon->reports().size());
-    return fp;
-}
 
 /** Prefix of MonitoringSystem::functionalFingerprint() (diagnostics). */
 const char *const kFunctionalNames[] = {
@@ -182,11 +155,8 @@ runEngine(Engine e, const std::string &profile, const std::string &monitor,
         walls.push_back(wall);
         // Results are deterministic across repetitions; keep the last.
         out.run = r;
-        if (sys.pipelineDriver())
-            out.driver = sys.pipelineDriver()->stats();
         if (sys.runGrainDriver())
             out.grain = grainDelta(before, sys.runGrainDriver()->stats());
-        out.fingerprint = fingerprintOf(sys, mon.get(), r);
     }
     std::sort(walls.begin(), walls.end());
     out.bestWall = walls.front();
@@ -294,7 +264,7 @@ main(int argc, char **argv)
     }
 
     header(("micro_pipeline: " + profile + " + " + monitor +
-            ", per-cycle vs batched vs run-grain engine")
+            ", per-cycle vs run-grain engine")
                .c_str());
 
     if (!functionalCrossCheck(profile, monitor, instr))
@@ -302,19 +272,17 @@ main(int argc, char **argv)
 
     EngineRun per = runEngine(Engine::PerCycle, profile, monitor, warm,
                               instr, reps);
-    EngineRun bat = runEngine(Engine::Batched, profile, monitor, warm,
-                              instr, reps);
     EngineRun grain = runEngine(Engine::RunGrain, profile, monitor, warm,
                                 instr, reps);
 
-    if (per.fingerprint != bat.fingerprint) {
-        std::printf("ENGINES DIVERGED: batched results are not "
-                    "bit-identical to per-cycle\n");
+    if (per.run.monitoredEvents == 0) {
+        std::printf("VACUOUS: the per-cycle reference run monitored 0 "
+                    "events\n");
         return 1;
     }
     std::printf("instructions %llu | cycles %llu | events %llu "
-                "(percycle == batched bitwise; rungrain functionally "
-                "identical on matched windows, %llu modeled cycles)\n\n",
+                "(rungrain functionally identical on matched windows, "
+                "%llu modeled cycles)\n\n",
                 (unsigned long long)per.run.appInstructions,
                 (unsigned long long)per.run.cycles,
                 (unsigned long long)per.run.monitoredEvents,
@@ -323,32 +291,13 @@ main(int argc, char **argv)
                 "cycles/s\n",
                 per.medianWall, per.run.monitoredEvents / per.medianWall,
                 per.run.cycles / per.medianWall);
-    std::printf("batched engine:   %7.3fs  %9.0f events/s  %9.0f "
-                "cycles/s\n",
-                bat.medianWall, bat.run.monitoredEvents / bat.medianWall,
-                bat.run.cycles / bat.medianWall);
     std::printf("run-grain engine: %7.3fs  %9.0f events/s  %9.0f "
                 "cycles/s\n",
                 grain.medianWall,
                 grain.run.monitoredEvents / grain.medianWall,
                 grain.run.cycles / grain.medianWall);
-    std::printf("engine speedup (median of %u): batched %.2fx | "
-                "run-grain %.2fx\n",
-                reps, per.medianWall / bat.medianWall,
-                per.medianWall / grain.medianWall);
-    std::uint64_t driven = bat.driver.fusedCycles +
-                           bat.driver.skippedCycles;
-    std::printf("batched driver: %llu cycles driven, %llu fused + %llu "
-                "skipped (%.1f%% fast-forwarded in %llu jumps, mean "
-                "%.1f cycles)\n",
-                (unsigned long long)driven,
-                (unsigned long long)bat.driver.fusedCycles,
-                (unsigned long long)bat.driver.skippedCycles,
-                driven ? 100.0 * bat.driver.skippedCycles / driven : 0.0,
-                (unsigned long long)bat.driver.jumps,
-                bat.driver.jumps ? double(bat.driver.skippedCycles) /
-                                       bat.driver.jumps
-                                 : 0.0);
+    std::printf("engine speedup (median of %u): run-grain %.2fx\n",
+                reps, per.medianWall / grain.medianWall);
     std::uint64_t modeled = grain.grain.cyclesClosedFormed +
                             grain.grain.cyclesFastForwarded +
                             grain.grain.cyclesStepped;
@@ -366,7 +315,6 @@ main(int argc, char **argv)
                 (unsigned long long)grain.grain.cyclesStepped);
 
     jsonLine("percycle", profile, monitor, per);
-    jsonLine("batched", profile, monitor, bat);
     jsonLine("rungrain", profile, monitor, grain);
     std::printf("\n");
 

@@ -9,7 +9,7 @@
  * equality against std::unordered_set under a randomized op mix — and
  * the binary exits nonzero on any mismatch. CI runs `--smoke` for the
  * checks alone; perf numbers are tracked through the emitted JSON lines
- * (scripts/bench_baseline.sh, docs/BENCHMARKS.md) with no perf gate.
+ * (docs/BENCHMARKS.md) with no perf gate.
  *
  * Every reported rate is the median of --reps timed repetitions, after
  * one discarded host-warmup repetition (reps > 1), so baseline JSON
@@ -171,8 +171,7 @@ eventHash(const MonEvent &e)
  * ns/instr decomposition of the run-grain functional pipeline —
  * synthesis, monitor dispatch (Monitor::monitoredSpan), and bulk event
  * extraction (EventProducer::commitSpan) — each timed over the same
- * staged spans (scripts/bench_baseline.sh records these in
- * BENCH_pr9.json).
+ * staged spans (BENCH_pr9.json holds a historical capture).
  */
 bool
 spanMicro(const std::string &profile, std::uint64_t n)

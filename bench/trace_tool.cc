@@ -23,7 +23,7 @@
  *
  *   trace_tool --bench [config flags] [--file PATH]
  *       Live vs capturing vs replaying wall clock on one config,
- *       emitted as JSON lines (scripts/bench_baseline.sh).
+ *       emitted as JSON lines (docs/BENCHMARKS.md).
  */
 
 #include <chrono>
@@ -69,7 +69,7 @@ usage()
         "                  [--shards N] [--clusters C] [--fades K]\n"
         "                  [--warm N] [--instr N] [--policy lockstep|"
         "parallel]\n"
-        "                  [--engine percycle|batched|rungrain]\n"
+        "                  [--engine percycle|rungrain]\n"
         "       trace_tool --replay FILE [--policy ...] [--engine ...]\n"
         "       trace_tool --verify FILE...\n"
         "       trace_tool --stats FILE\n"

@@ -3,7 +3,8 @@
 # concurrent client sessions with --check (each compares the daemon's
 # result fingerprints bit-for-bit against a standalone in-process run
 # of the same config), then SIGTERM the daemon and require a clean
-# drain ("clean shutdown", exit 0). Exercises the real executables and
+# drain ("clean shutdown", exit 0); unknown --engine/--policy values
+# must be client usage errors. Exercises the real executables and
 # a real socket — the layer above what tests/test_daemon.cc drives
 # in-process. Usage:
 #
@@ -46,7 +47,7 @@ pids="$pids $!"
     --warm 1000 --instr 4000 &
 pids="$pids $!"
 "$builddir/faded_client" --socket "$sock" --check \
-    --monitor TaintCheck --profile astar --engine batched \
+    --monitor TaintCheck --profile astar --engine rungrain \
     --warm 1000 --instr 4000 &
 pids="$pids $!"
 "$builddir/faded_client" --socket "$sock" --check \
@@ -58,6 +59,18 @@ for pid in $pids; do
 done
 [ "$fail" -eq 0 ] || { echo "smoke: a checked session failed" >&2
                        cat "$log" >&2; exit 1; }
+
+# Unknown knob values are usage errors (exit 2), caught before the
+# client connects rather than silently mapped to a default. $bad is
+# left unquoted on purpose: it splits into a flag and its value.
+echo "== unknown knob values =="
+for bad in "--engine rungran" "--policy parallell"; do
+    rc=0
+    "$builddir/faded_client" --socket "$sock" $bad > /dev/null 2>&1 ||
+        rc=$?
+    [ "$rc" -eq 2 ] || { echo "smoke: faded_client $bad exited $rc," \
+                              "want 2 (usage error)" >&2; exit 1; }
+done
 
 echo "== clean shutdown =="
 kill -TERM "$daemon_pid"

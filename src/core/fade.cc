@@ -400,157 +400,6 @@ Fade::tick(Cycle now)
     frontEnd(now);
 }
 
-bool
-Fade::frontFrozen() const
-{
-    // frontEnd() in FrontState::Normal acts unless the event queue is
-    // empty or its head is an instruction event with the ETR latch
-    // already occupied. (Stack-update and high-level heads are popped
-    // regardless of pipeline occupancy.)
-    if (!eq_ || eq_->empty())
-        return true;
-    return eq_->front().isInst() && stage(SEtr).valid;
-}
-
-bool
-Fade::frontInert(bool *drains) const
-{
-    // Would frontEnd() take no state-changing action this cycle, given
-    // that at least one pipeline latch is occupied? Sets @p drains when
-    // the inert front end still counts a drain-stall cycle.
-    *drains = false;
-    switch (front_) {
-      case FrontState::Normal:
-        return frontFrozen();
-      case FrontState::WaitDrainStack:
-      case FrontState::WaitDrainHigh:
-        // A non-empty pipeline keeps the drain pending: stall counted,
-        // nothing popped.
-        *drains = true;
-        return true;
-      case FrontState::WaitHighDone:
-        if (outstanding_ > 0) {
-            *drains = true;
-            return true;
-        }
-        return false; // transitions back to Normal: a state change
-      case FrontState::SuuActive:
-        return false; // handled before the pipeline advances
-    }
-    return false;
-}
-
-FadeStallProfile
-Fade::stallProfile(Cycle now) const
-{
-    FadeStallProfile p;
-    bool act = !pipelineEmpty() || front_ != FrontState::Normal ||
-               blocked_ || suu_.busy() || (eq_ && !eq_->empty());
-    if (!act) {
-        // Fully idle: tick() only counts an idle cycle; an event-queue
-        // push (application core) is the only wake-up.
-        p.active = false;
-        p.idle = true;
-        return p;
-    }
-    p.busy = true;
-    if (front_ == FrontState::SuuActive)
-        return p; // the SUU issues a block write (or counts down) every
-                  // cycle; treat as active
-    if (blocked_) {
-        // Baseline (blocking) FADE waiting on a software handler: tick
-        // returns right after the stall accounting.
-        p.active = false;
-        p.blocking = true;
-        return p;
-    }
-    const PipeSlot &mw = stage(SMw);
-    const PipeSlot &filt = stage(SFilt);
-    const PipeSlot &mdr = stage(SMdr);
-    if (mw.valid) {
-        if (mw.nbVal && mw.nbDestIsMem && fsq_.full()) {
-            // MW stalled on a full FSQ: tick returns after the stall
-            // count; released by handlerDone() (monitor side).
-            p.active = false;
-            p.fsqFull = true;
-            return p;
-        }
-        return p; // MW commits this cycle
-    }
-    if (filt.valid) {
-        bool drains = false;
-        if (filt.shotsLeft <= 1 && !filt.out.filtered && ueq_ &&
-            ueq_->full() && mdr.valid && stage(SCtrl).valid &&
-            stage(SEtr).valid && frontInert(&drains)) {
-            // Software-bound event stalled on UEQ backpressure with
-            // every stage behind it occupied: nothing moves until the
-            // monitor pops the UEQ.
-            p.active = false;
-            p.ueqFull = true;
-            p.drain = drains;
-            return p;
-        }
-        return p;
-    }
-    if (mdr.valid) {
-        bool drains = false;
-        if (mdr.readyAt > now && !(stage(SEtr).valid &&
-                                   !stage(SCtrl).valid) &&
-            frontInert(&drains)) {
-            // Metadata read in flight (MD-cache miss latency), stages
-            // behind it unable to move: pure wait until readyAt.
-            p.active = false;
-            p.wakeAt = mdr.readyAt;
-            p.drain = drains;
-            return p;
-        }
-        return p;
-    }
-    if (stage(SCtrl).valid || stage(SEtr).valid)
-        return p; // latches advance by index swap
-    // Pipeline empty; either the front end has queued work or it is
-    // draining around a stack update / high-level event.
-    switch (front_) {
-      case FrontState::Normal:
-        return p; // eq non-empty (else !act above): head gets popped
-      case FrontState::WaitDrainStack:
-      case FrontState::WaitDrainHigh:
-        if ((ueq_ && !ueq_->empty()) || outstanding_ > 0) {
-            p.active = false;
-            p.drain = true;
-            return p;
-        }
-        return p;
-      case FrontState::WaitHighDone:
-        if (outstanding_ > 0) {
-            p.active = false;
-            p.drain = true;
-            return p;
-        }
-        return p;
-      case FrontState::SuuActive:
-        return p; // unreachable (handled above)
-    }
-    return p;
-}
-
-void
-Fade::skipCycles(const FadeStallProfile &p, std::uint64_t n)
-{
-    if (p.busy)
-        stats_.busyCycles += n;
-    if (p.idle)
-        stats_.idleCycles += n;
-    if (p.ueqFull)
-        stats_.stallUeqFull += n;
-    if (p.blocking)
-        stats_.stallBlocking += n;
-    if (p.drain)
-        stats_.stallDrain += n;
-    if (p.fsqFull)
-        stats_.stallFsqFull += n;
-}
-
 RunGrainEventOutcome
 Fade::processEventRunGrain(const MonEvent &ev)
 {

@@ -147,30 +147,6 @@ struct FadeStats
 };
 
 /**
- * Batched-engine stall assessment of one FADE instance at one cycle
- * (system/pipeline.hh). When active is false, tick() is guaranteed to
- * change nothing but the flagged per-cycle counters until wakeAt (or
- * until an external input — queues, handler completions — changes),
- * so the driver may replace the ticks of a frozen span by one
- * skipCycles() call.
- */
-struct FadeStallProfile
-{
-    /** tick() must run this cycle (it would change machine state). */
-    bool active = true;
-    /** First cycle the unit wakes by itself; invalidCycle = only an
-     *  external change can wake it. */
-    Cycle wakeAt = invalidCycle;
-    /** Counters tick() would bump once per skipped cycle. */
-    bool busy = false;
-    bool idle = false;
-    bool ueqFull = false;
-    bool blocking = false;
-    bool drain = false;
-    bool fsqFull = false;
-};
-
-/**
  * What the run-grain engine (system/rungrain.hh) needs to know about
  * one event it just processed functionally: its class, how long the
  * Filter stage holds it (multi-shot evaluations), how long the SUU
@@ -233,20 +209,6 @@ class Fade
 
     /** Advance one cycle. */
     void tick(Cycle now);
-
-    /**
-     * Would tick(@p now) do anything beyond the per-cycle accounting a
-     * stall profile describes? Pure (no state change, no queue access
-     * beyond peeking); see FadeStallProfile for the contract.
-     */
-    FadeStallProfile stallProfile(Cycle now) const;
-
-    /**
-     * Apply the per-cycle counters of @p p for @p n skipped cycles.
-     * Only legal when stallProfile() returned @p p with active ==
-     * false and no external input changed during the span.
-     */
-    void skipCycles(const FadeStallProfile &p, std::uint64_t n);
 
     /**
      * Run-grain engine (Engine::RunGrain): process @p ev functionally,
@@ -376,11 +338,6 @@ class Fade
     };
 
     bool pipelineEmpty() const;
-    /** Front end provably takes no action this cycle (stall profile). */
-    bool frontFrozen() const;
-    /** frontFrozen() generalized over non-Normal front states; sets
-     *  @p drains when the inert front still counts a drain stall. */
-    bool frontInert(bool *drains) const;
     /** Dequeue the event-queue head into @p dst, checking its shard
      *  tag (single copy; accounting identical to pop()). */
     void popEventInto(MonEvent &dst);

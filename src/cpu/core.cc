@@ -136,7 +136,6 @@ Core::addThread(InstSource *src, CommitSink *sink)
     HwThread t;
     t.src = src;
     t.sink = sink;
-    t.runSource = src && src->supportsRuns();
     t.freeSink = !sink || sink->alwaysCommits();
     // Size the ROB ring once for the full (unpartitioned) capacity so
     // it never grows on the dispatch path.
@@ -206,44 +205,32 @@ Core::tryCommitOne(HwThread &t, Cycle now)
 }
 
 bool
-Core::tryDispatchOne(HwThread &t, Cycle now, SrcProbe probe)
+Core::tryDispatchOne(HwThread &t, Cycle now)
 {
     if (t.rob.size() >= robCapacity())
         return false;
     if (now < t.fetchStallUntil)
         return false;
-    // A None/Pure probe elides the availability call whose outcome the
-    // pipeline driver already knows to be side-effect free (the
-    // default, Effectful, is the reference behaviour).
-    if (probe == SrcProbe::None)
+    if (!t.src)
         return false;
-    // Run-replay fast path (sources that declared supportsRuns, i.e.
-    // the monitor handler engine): instructions come straight out of
-    // the prefetched handler run; a non-null fetchNext() certifies
-    // available() would have been true and side-effect free, so the
-    // per-instruction round-trip is elided. A null falls back to the
-    // reference available()/fetch() protocol — pops and handler builds
-    // happen at exactly the same points as before.
-    // All checks passed: the dispatch is committed, so the instruction
-    // lands straight in the claimed ROB slot (no staging copy).
-    auto dispatch = [&](const Instruction *pre) {
-        RobEntry &e = t.rob.pushSlot();
-        e.inst = pre ? *pre : t.src->fetch();
-        dispatchInst(t, now, e);
-        return true;
-    };
-    if (t.runSource) {
-        const Instruction *pre = t.src->fetchNext();
-        if (!pre) {
-            if (probe == SrcProbe::Effectful && !t.src->available())
-                return false;
-            pre = t.src->fetchNext();
-        }
-        return dispatch(pre);
+    // Run-replay fast path: a non-null fetchNext() (a staged workload
+    // run, a monitor handler sequence) certifies available() would
+    // have been true and side-effect free, so the round-trip is
+    // elided. A null has no side effects either (sources without runs
+    // always return it), and the reference available()/fetch()
+    // protocol runs: pops and handler builds happen at exactly the
+    // same points. The instruction lands straight in the claimed ROB
+    // slot (no staging copy).
+    const Instruction *pre = t.src->fetchNext();
+    if (!pre) {
+        if (!t.src->available())
+            return false;
+        pre = t.src->fetchNext();
     }
-    if (probe == SrcProbe::Effectful && (!t.src || !t.src->available()))
-        return false;
-    return dispatch(nullptr);
+    RobEntry &e = t.rob.pushSlot();
+    e.inst = pre ? *pre : t.src->fetch();
+    dispatchInst(t, now, e);
+    return true;
 }
 
 void
@@ -309,8 +296,7 @@ Core::tick(Cycle now)
 
     // Commit: up to `width` slots shared round-robin across threads.
     // A thread whose head is not ready (or is refused by its sink)
-    // yields its slots to the other thread. (Identical slot sharing to
-    // stepCycle(); kept allocation-free for the same reason.)
+    // yields its slots to the other thread.
     {
         unsigned budget = params_.width;
         std::array<bool, 2> open{true, n > 1};
@@ -345,132 +331,6 @@ Core::tick(Cycle now)
         }
         dispatchRr_ = dispatchRr_ + 1 == n ? 0 : dispatchRr_ + 1;
     }
-}
-
-unsigned
-Core::stepCycle(Cycle now, const SrcProbe *probes)
-{
-    // Exact mirror of tick() — same state transitions, same counters,
-    // same call order — minus tick()'s per-cycle heap allocations and
-    // minus source calls a None/Pure probe proves side-effect free.
-    // tests/test_pipeline.cc holds the two paths bit-identical.
-    ++cycles_;
-    unsigned n = unsigned(threads_.size());
-    if (n == 0)
-        return 0;
-
-    for (unsigned i = 0; i < n; ++i) {
-        HwThread &t = threads_[i];
-        if (t.rob.size() >= robCapacity())
-            ++t.stats.robFullCycles;
-        if (now < t.fetchStallUntil)
-            ++t.stats.fetchBubbleCycles;
-        if (t.rob.empty()) {
-            bool avail = probes[i] == SrcProbe::Pure ||
-                         (probes[i] == SrcProbe::Effectful && t.src &&
-                          t.src->available());
-            if (!avail)
-                ++t.stats.idleCycles;
-        }
-    }
-
-    unsigned activity = 0;
-    {
-        unsigned budget = params_.width;
-        std::array<bool, 2> open{true, n > 1};
-        unsigned t = commitRr_;
-        while (budget > 0 && (open[0] || open[1])) {
-            if (open[t]) {
-                if (tryCommitOne(threads_[t], now)) {
-                    --budget;
-                    ++activity;
-                } else {
-                    open[t] = false;
-                }
-            }
-            if (++t == n)
-                t = 0;
-        }
-        commitRr_ = commitRr_ + 1 == n ? 0 : commitRr_ + 1;
-    }
-
-    {
-        unsigned budget = params_.width;
-        std::array<bool, 2> open{true, n > 1};
-        unsigned t = dispatchRr_;
-        while (budget > 0 && (open[0] || open[1])) {
-            if (open[t]) {
-                if (tryDispatchOne(threads_[t], now, probes[t])) {
-                    --budget;
-                    ++activity;
-                } else {
-                    open[t] = false;
-                }
-            }
-            if (++t == n)
-                t = 0;
-        }
-        dispatchRr_ = dispatchRr_ + 1 == n ? 0 : dispatchRr_ + 1;
-    }
-    return activity;
-}
-
-Cycle
-Core::nextActivity(Cycle now, const SrcProbe *probes) const
-{
-    Cycle wake = invalidCycle;
-    for (unsigned i = 0; i < threads_.size(); ++i) {
-        const HwThread &t = threads_[i];
-        // With an empty ROB and an effectful source, the idle-condition
-        // accounting itself calls available() (which may pop work), so
-        // the cycle cannot be skipped.
-        if (t.rob.empty() && probes[i] == SrcProbe::Effectful)
-            return now;
-        if (!t.rob.empty()) {
-            const RobEntry &head = t.rob.front();
-            if (t.freeSink || t.sink->canCommit(head.inst)) {
-                if (head.readyAt <= now)
-                    return now;
-                wake = std::min(wake, head.readyAt);
-            }
-            // A refused head never commits while external state is
-            // frozen; only sinkStallCycles accrue (see skipCycles).
-        }
-        if (t.rob.size() < robCapacity() && probes[i] != SrcProbe::None) {
-            if (now >= t.fetchStallUntil)
-                return now;
-            wake = std::min(wake, t.fetchStallUntil);
-        }
-    }
-    return wake;
-}
-
-void
-Core::skipCycles(Cycle from, std::uint64_t n, const SrcProbe *probes)
-{
-    cycles_ += n;
-    unsigned nt = unsigned(threads_.size());
-    if (nt == 0)
-        return;
-    for (unsigned i = 0; i < nt; ++i) {
-        HwThread &t = threads_[i];
-        if (t.rob.size() >= robCapacity())
-            t.stats.robFullCycles += n;
-        if (from < t.fetchStallUntil)
-            t.stats.fetchBubbleCycles +=
-                std::min<std::uint64_t>(n, t.fetchStallUntil - from);
-        if (t.rob.empty() && probes[i] == SrcProbe::None)
-            t.stats.idleCycles += n;
-        if (!t.rob.empty() && !t.freeSink &&
-            !t.sink->canCommit(t.rob.front().inst)) {
-            // Refusal stalls count from the cycle the head is ready.
-            Cycle readyFrom = std::max(t.rob.front().readyAt, from);
-            if (readyFrom < from + n)
-                t.stats.sinkStallCycles += from + n - readyFrom;
-        }
-    }
-    commitRr_ = unsigned((commitRr_ + n) % nt);
-    dispatchRr_ = unsigned((dispatchRr_ + n) % nt);
 }
 
 bool

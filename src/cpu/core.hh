@@ -139,25 +139,6 @@ class RunGrainThread
 };
 
 /**
- * What the pipeline driver knows about one hardware thread's
- * instruction source for the current cycle (system/pipeline.hh). The
- * batched engine uses this to elide InstSource::available() calls whose
- * outcome is already known — legal only because the elided call would
- * have been side-effect free — and to predict thread activity across a
- * fast-forwarded span.
- */
-enum class SrcProbe : std::uint8_t
-{
-    /** available() would return false, with no side effects. */
-    None,
-    /** available() would return true, with no side effects. */
-    Pure,
-    /** available() may mutate state (e.g. pop an input queue); it must
-     *  be called exactly as the reference tick() would call it. */
-    Effectful,
-};
-
-/**
  * A core with one or two hardware threads sharing its pipeline.
  */
 class Core
@@ -178,40 +159,6 @@ class Core
     /** Advance one cycle. */
     void tick(Cycle now);
 
-    /**
-     * Batched-engine cycle step (system/pipeline.hh): performs exactly
-     * the state transitions and accounting of tick(), but without
-     * tick()'s per-cycle heap allocations, and with the per-thread
-     * source probes of @p probes (probes[t] for hardware thread t)
-     * eliding InstSource::available() calls whose outcome the driver
-     * already knows. With SrcProbe::Effectful for every thread the call
-     * pattern is identical to tick(); with None/Pure it differs only in
-     * skipped calls that would have been side-effect free.
-     * @return the number of commits plus dispatches performed (0 means
-     *         this cycle changed nothing but per-cycle counters).
-     */
-    unsigned stepCycle(Cycle now, const SrcProbe *probes);
-
-    /**
-     * Earliest cycle >= @p now at which ticking this core could do more
-     * than per-cycle condition accounting, assuming every external
-     * input (sources, sinks, queues) stays frozen. Returns @p now when
-     * the core is active this cycle and invalidCycle when only an
-     * external change can wake it. May invoke CommitSink::canCommit
-     * (side-effect free by contract); never invokes
-     * InstSource::available().
-     */
-    Cycle nextActivity(Cycle now, const SrcProbe *probes) const;
-
-    /**
-     * Account for @p n skipped cycles starting at @p from, during which
-     * the driver has established (via nextActivity and frozen external
-     * state) that tick() would have performed no commit and no
-     * dispatch: applies exactly the per-cycle condition counters,
-     * cycle count, and round-robin rotation those ticks would have.
-     */
-    void skipCycles(Cycle from, std::uint64_t n, const SrcProbe *probes);
-
     unsigned numThreads() const { return unsigned(threads_.size()); }
     const CoreParams &params() const { return params_; }
     const ThreadStats &threadStats(unsigned t) const;
@@ -227,8 +174,7 @@ class Core
     unsigned runGrainExecLatency(const Instruction &inst);
 
     /** Run-grain engine support: mutable per-thread statistics, for
-     *  batch-applying modeled condition counters the way skipCycles()
-     *  batch-applies frozen spans. */
+     *  batch-applying modeled condition counters. */
     ThreadStats &runGrainThreadStats(unsigned t);
 
     /** Run-grain engine support: batch-apply @p n elapsed cycles. */
@@ -254,9 +200,6 @@ class Core
     {
         InstSource *src = nullptr;
         CommitSink *sink = nullptr;
-        /** Source declared supportsRuns(): dispatch pulls from its
-         *  prefetched handler run via fetchNext(). */
-        bool runSource = false;
         /** Sink declared alwaysCommits(): skip canCommit entirely. */
         bool freeSink = false;
         /** Reorder buffer: bounded FIFO in one contiguous ring (sized
@@ -272,8 +215,7 @@ class Core
 
     unsigned robCapacity() const;
     bool tryCommitOne(HwThread &t, Cycle now);
-    bool tryDispatchOne(HwThread &t, Cycle now,
-                        SrcProbe probe = SrcProbe::Effectful);
+    bool tryDispatchOne(HwThread &t, Cycle now);
     /** Timing computation for the just-claimed ROB entry @p e (its
      *  instruction is already in place). */
     void dispatchInst(HwThread &t, Cycle now, RobEntry &e);

@@ -54,11 +54,6 @@ class InstSource
      */
     virtual const Instruction *fetchNext() { return nullptr; }
 
-    /** Static property: this source serves prefetched runs through
-     *  fetchNext(). Cores skip the fetchNext probe entirely for
-     *  sources that generate on demand. */
-    virtual bool supportsRuns() const { return false; }
-
     /**
      * Ask the source to pre-produce up to @p n upcoming instructions
      * for run service through fetchNext(), without changing the stream:

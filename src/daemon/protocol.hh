@@ -147,7 +147,8 @@ struct WireSessionConfig
     std::uint64_t sliceTicks = 0;
     /** SchedulerPolicy by value (0 = lockstep, 1 = parallel). */
     std::uint8_t policy = 0;
-    /** Engine by value (0 = percycle, 1 = batched, 2 = rungrain). */
+    /** Engine by value: 0 = percycle, 2 = rungrain. 1 named the
+     *  retired batched engine and is rejected as BadConfig. */
     std::uint8_t engine = 0;
     std::uint64_t warmup = 0;
     std::uint64_t measure = 0;

@@ -67,14 +67,30 @@ checkShape(std::uint32_t shards, std::uint32_t clusters,
                                 std::to_string(maxFadesPerShard));
 }
 
+/** Decode the wire engine value; 1 named the retired batched engine. */
+Engine
+wireEngine(std::uint8_t v)
+{
+    switch (v) {
+      case 0:
+        return Engine::PerCycle;
+      case 2:
+        return Engine::RunGrain;
+      case 1:
+        throw SessionReject(Reason::BadConfig,
+                            "engine 1 (batched) was retired; use 0 "
+                            "(percycle) or 2 (rungrain)");
+    }
+    throw SessionReject(Reason::BadConfig, "unknown engine value");
+}
+
 void
 checkKnobs(const WireSessionConfig &wc)
 {
     if (wc.policy > 1)
         throw SessionReject(Reason::BadConfig,
                             "unknown scheduler policy value");
-    if (wc.engine > 2)
-        throw SessionReject(Reason::BadConfig, "unknown engine value");
+    wireEngine(wc.engine);
     if (wc.sliceTicks != 0 &&
         (wc.sliceTicks < 16 || wc.sliceTicks > (1u << 20)))
         throw SessionReject(Reason::BadConfig,
@@ -104,7 +120,7 @@ applyOverrides(MultiCoreConfig &cfg, const WireSessionConfig &wc)
                                : SchedulerPolicy::Lockstep;
     if (wc.sliceTicks != 0)
         cfg.scheduler.sliceTicks = wc.sliceTicks;
-    cfg.engine = Engine(wc.engine);
+    cfg.engine = wireEngine(wc.engine);
 }
 
 SessionPlan

@@ -129,7 +129,7 @@ class Monitor
                                          const MonitorContext &ctx) const;
 
     /**
-     * Batched replay entry point: start the software handler for @p u
+     * Fused replay entry point: start the software handler for @p u
      * by appending its dynamic instruction sequence to @p out and
      * returning its class — one virtual call per handler where the
      * replay engine previously made separate buildHandlerSeq and

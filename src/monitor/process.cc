@@ -36,7 +36,7 @@ MonitorProcess::startNextHandler()
     PendingHandler p;
     p.u = u;
     // Single dispatch starts the handler: sequence build +
-    // classification in one virtual call (batched replay path).
+    // classification in one virtual call (fused replay path).
     p.cls = mon_.prepareHandler(u, ctx_, seq_);
     panic_if(seq_.empty(), "monitor handler sequence must be non-empty");
     p.remaining = seq_.size();

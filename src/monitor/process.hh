@@ -74,22 +74,11 @@ class MonitorProcess : public InstSource, public CommitSink
             return nullptr;
         return &seq_[fetchIdx_++];
     }
-    bool supportsRuns() const override { return true; }
     bool alwaysCommits() const override { return true; }
     void onCommit(const Instruction &inst) override;
 
     /** No handler in flight and the input queue is empty. */
     bool idle() const;
-
-    /**
-     * Source-probe helpers for the pipeline driver (system/pipeline.hh):
-     * when handler instructions remain fetchable, available() is true
-     * without side effects; when none remain and the input queue is
-     * empty, available() is false without side effects; otherwise
-     * available() pops the input queue and must really be called.
-     */
-    bool fetchPending() const { return fetchIdx_ < seq_.size(); }
-    bool inputEmpty() const { return ueq_ ? ueq_->empty() : eq_->empty(); }
 
     const MonitorProcessStats &stats() const { return stats_; }
     void resetStats() { stats_ = MonitorProcessStats{}; }

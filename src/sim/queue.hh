@@ -8,12 +8,11 @@
  * Storage is a ring buffer (bounded queues allocate exactly once, at
  * construction; unbounded queues grow by doubling), replacing the
  * per-block churn of the previous std::deque implementation on the
- * event-transport hot path. pushRun()/popRun() provide the bulk
- * transport used by the run-to-stall pipeline engine
- * (system/pipeline.hh); both are element-for-element equivalent to a
- * loop of push()/pop() calls — identical rejection accounting and
- * identical per-event occupancy sampling — so engines built on bulk
- * transport stay bit-identical to per-cycle execution.
+ * event-transport hot path. pushRun()/popRun() provide bulk
+ * transport; both are element-for-element equivalent to a loop of
+ * push()/pop() calls — identical rejection accounting and identical
+ * per-event occupancy sampling — so callers built on bulk transport
+ * stay bit-identical to per-element execution.
  */
 
 #ifndef FADE_SIM_QUEUE_HH
@@ -141,8 +140,8 @@ class BoundedQueue
     /**
      * Remove up to @p n front entries, discarding them. Equivalent to
      * (and accounted exactly as) min(n, size()) pop() calls; pops never
-     * sample the occupancy histogram. Used by the batched engine to
-     * drain a queue across a fast-forwarded span in one call.
+     * sample the occupancy histogram. FADE and the steering stage use
+     * popRun(1) to retire a head they already copied out.
      * @return the number of entries removed.
      */
     std::size_t

@@ -35,9 +35,6 @@ constexpr Addr blockSize = 64;
 /** Page size used by the metadata TLB translation. */
 constexpr Addr pageSize = 4096;
 
-/** Sentinel for "no cycle" / "not scheduled". */
-constexpr Cycle invalidCycle = ~Cycle(0);
-
 /** Round an address down to its containing cache block. */
 constexpr Addr
 blockAlign(Addr a)

@@ -67,10 +67,10 @@ struct MultiCoreConfig
     SchedulerConfig scheduler;
     /**
      * Intra-shard execution engine, applied to every shard (overrides
-     * shard.engine). Engine::Batched runs each shard's slice through
-     * the run-to-stall pipeline driver; results are bit-identical to
-     * Engine::PerCycle (tests/test_pipeline.cc), only wall clock
-     * changes.
+     * shard.engine). Engine::RunGrain runs each shard's slice through
+     * the run-grain driver; its functional results match
+     * Engine::PerCycle (tests/test_pipeline.cc), its timing is
+     * modeled.
      */
     Engine engine = Engine::PerCycle;
     /**

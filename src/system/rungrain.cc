@@ -1,7 +1,6 @@
 #include "system/rungrain.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/logging.hh"
 #include "trace/threads.hh"
@@ -29,7 +28,6 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
         appSrc_ = sys.tgen_.get();
     else
         appSrc_ = sys.gen_.get();
-    srcRuns_ = appSrc_->supportsRuns();
 
     perfect_ = sys.cfg_.perfectConsumer && sys.mon_ != nullptr;
     unaccel_ = mproc_ != nullptr && fades_ == nullptr;
@@ -59,8 +57,7 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
     // driver (accelerated / perfect) or no events at all; the
     // unaccelerated monitor process pops the real EQ after every
     // retirement, so it keeps the per-instruction interleaving.
-    spanPath_ = srcRuns_ && sys.cfg_.spanFastPath &&
-                std::getenv("FADE_NO_SPAN") == nullptr &&
+    spanPath_ = sys.cfg_.spanFastPath &&
                 (sys.mon_ == nullptr || fades_ || perfect_);
 }
 
@@ -252,7 +249,7 @@ RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
 bool
 RunGrainDriver::processOne()
 {
-    const Instruction *ip = srcRuns_ ? appSrc_->fetchNext() : nullptr;
+    const Instruction *ip = appSrc_->fetchNext();
     Instruction local;
     if (!ip) {
         if (!appSrc_->available())
@@ -378,7 +375,7 @@ RunGrainDriver::runUntil(std::uint64_t maxCycles,
             std::size_t(std::min<std::uint64_t>(want, kStageRun));
         appSrc_->stageRun(batch);
         if (spanPath_) {
-            // Batched fast path: one span per batch (possibly shorter
+            // Span fast path: one span per batch (possibly shorter
             // at a trace-block boundary — the outer loop re-stages).
             InstSpan span = appSrc_->fetchSpan(batch);
             if (!span.empty()) {

@@ -2,12 +2,11 @@
  * @file
  * Run-grain engine for one shard (Engine::RunGrain).
  *
- * The per-cycle reference engine and the batched engine both advance
- * every component cycle by cycle (the batched engine merely skips
- * provably frozen spans). This driver abandons per-cycle stepping
- * altogether: it processes the shard *eagerly and serially* — fetch an
- * application instruction, extract its event, filter it, run its
- * handler to completion, repeat — while computing all timing with
+ * The per-cycle reference engine advances every component cycle by
+ * cycle. This driver abandons per-cycle stepping altogether: it
+ * processes the shard *eagerly and serially* — fetch an application
+ * instruction, extract its event, filter it, run its handler to
+ * completion, repeat — while computing all timing with
  * closed-form recurrences over whole instruction runs
  * (cpu/core.hh:RunGrainThread) and a stage-time algebra for the FADE
  * pipeline. One instruction costs O(1) host work regardless of how
@@ -55,8 +54,8 @@ namespace fade
 {
 
 /** Host-side accounting of one run-grain driver (simulation-invisible).
- *  Not reset by resetStats (same convention as PipelineDriverStats):
- *  totals accumulate over the driver's lifetime. */
+ *  Not reset by resetStats: totals accumulate over the driver's
+ *  lifetime. */
 struct RunGrainDriverStats
 {
     /** Application instructions retired through the closed forms. */
@@ -151,7 +150,7 @@ class RunGrainDriver
     void processInst(const Instruction &inst);
 
     /**
-     * Batched span path: process @p n staged instructions. Verdicts
+     * Span fast path: process @p n staged instructions. Verdicts
      * are decided for the whole span up front (monitoredSpan), events
      * are extracted in bulk per same-tid segment (commitSpan into the
      * flat event buffer), and the timing recurrences then run over the
@@ -198,9 +197,8 @@ class RunGrainDriver
     MonitorProcess *mproc_;
     InstSource *appSrc_;
 
-    bool srcRuns_ = false;
-    /** Span fast path usable: source serves spans and the shard shape
-     *  lets events be extracted in bulk (accelerated / perfect /
+    /** Span fast path usable: enabled in the config and the shard
+     *  shape lets events be extracted in bulk (accelerated / perfect /
      *  unmonitored; the unaccelerated monitor process pops the real EQ
      *  per retirement, so it stays on the per-instruction path). */
     bool spanPath_ = false;

@@ -39,9 +39,9 @@ ShardRunner::beginRun(std::uint64_t instructions)
 void
 ShardRunner::runSlice(std::uint64_t maxTicks)
 {
-    // The engine behind advance() is the shard's own choice (per-cycle
-    // reference loop or the run-to-stall pipeline driver); both consume
-    // exactly the cycles the legacy tickOnce() loop would have.
+    // The engine behind advance() is the shard's own choice (the
+    // per-cycle reference loop or the run-grain driver); to either, a
+    // slice boundary is just a cycle limit.
     ticksUsed_ += sys_.advance(maxTicks, target_);
 }
 

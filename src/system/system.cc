@@ -1,7 +1,6 @@
 #include "system/system.hh"
 
 #include "sim/logging.hh"
-#include "system/pipeline.hh"
 #include "system/rungrain.hh"
 #include "trace/threads.hh"
 #include "trace/tracefile.hh"
@@ -153,9 +152,7 @@ MonitoringSystem::MonitoringSystem(const SystemConfig &cfg,
             appCore_->addThread(mproc_.get(), mproc_.get());
     }
 
-    if (cfg_.engine == Engine::Batched)
-        driver_ = std::make_unique<PipelineDriver>(*this);
-    else if (cfg_.engine == Engine::RunGrain)
+    if (cfg_.engine == Engine::RunGrain)
         rg_ = std::make_unique<RunGrainDriver>(*this);
 }
 
@@ -165,8 +162,6 @@ engineName(Engine e)
     switch (e) {
       case Engine::PerCycle:
         return "percycle";
-      case Engine::Batched:
-        return "batched";
       case Engine::RunGrain:
         return "rungrain";
     }
@@ -178,12 +173,11 @@ parseEngine(const std::string &name)
 {
     if (name == "percycle")
         return Engine::PerCycle;
-    if (name == "batched")
-        return Engine::Batched;
     if (name == "rungrain")
         return Engine::RunGrain;
-    fatal("unknown engine '", name,
-          "' (expected percycle, batched or rungrain)");
+    fatal_if(name == "batched", "the batched engine was retired; use "
+             "percycle (the reference) or rungrain (the fast engine)");
+    fatal("unknown engine '", name, "' (expected percycle or rungrain)");
 }
 
 MonitoringSystem::~MonitoringSystem() = default;
@@ -369,8 +363,6 @@ MonitoringSystem::advance(std::uint64_t maxCycles,
 {
     if (rg_)
         return rg_->runUntil(maxCycles, targetRetired);
-    if (driver_)
-        return driver_->runUntil(maxCycles, targetRetired);
     Cycle start = now_;
     Cycle end = now_ + maxCycles;
     while (now_ < end && producer_->retired() < targetRetired)

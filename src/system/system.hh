@@ -39,7 +39,6 @@ namespace fade
 {
 
 class CaptureSource;
-class PipelineDriver;
 class RunGrainDriver;
 class ReplaySource;
 class ThreadedSource;
@@ -47,26 +46,20 @@ class TraceReader;
 class TraceWriter;
 
 /**
- * Intra-shard execution engine. PerCycle and Batched produce
- * bit-identical statistics (tests/test_pipeline.cc) and differ only in
- * wall-clock cost. RunGrain additionally replaces per-cycle timing with
- * closed-form recurrences between monitor-visible events: it preserves
- * every functional result bit for bit (instruction stream, event
- * stream, filter verdicts, handler counts, bug reports — the
- * functionalFingerprint() subset) but models timing counters with its
- * own deterministic equations (docs/ARCHITECTURE.md, "Run-grain
- * engine").
+ * Intra-shard execution engine. PerCycle is the reference: the paper's
+ * results are defined by its cycle-by-cycle model. RunGrain replaces
+ * per-cycle timing with closed-form recurrences between
+ * monitor-visible events: it preserves every functional result bit for
+ * bit (instruction stream, event stream, filter verdicts, handler
+ * counts, bug reports — the functionalFingerprint() subset) but models
+ * timing counters with its own deterministic equations
+ * (docs/ARCHITECTURE.md, "Run-grain engine").
  */
 enum class Engine : std::uint8_t
 {
     /** Reference semantics: every component ticks every cycle
      *  (tickOnce()). */
     PerCycle,
-    /** Run-to-stall batched engine: the pipeline driver
-     *  (system/pipeline.hh) steps components through active cycles
-     *  with allocation-free fused stepping and fast-forwards provably
-     *  frozen spans with exact batch accounting. */
-    Batched,
     /** Run-grain engine (system/rungrain.hh): closed-form dispatch /
      *  commit / filter-pipeline timing between monitor-visible events;
      *  functional results identical to PerCycle, timing counters
@@ -74,10 +67,11 @@ enum class Engine : std::uint8_t
     RunGrain,
 };
 
-/** Printable engine name ("percycle", "batched", "rungrain"). */
+/** Printable engine name ("percycle", "rungrain"). */
 const char *engineName(Engine e);
 
-/** Parse an engine name as printed by engineName(); fatal on junk. */
+/** Parse an engine name as printed by engineName(); fatal on junk
+ *  (including the retired "batched" engine). */
 Engine parseEngine(const std::string &name);
 
 /** Full system configuration. */
@@ -97,17 +91,16 @@ struct SystemConfig
     /** Home shard id in a sharded multi-core system (0 = single-core).
      *  Stamped into every produced event and checked by FADE. */
     std::uint8_t shardId = 0;
-    /** Intra-shard execution engine (results are engine-invariant). */
+    /** Intra-shard execution engine (functional results are
+     *  engine-invariant). */
     Engine engine = Engine::PerCycle;
     /**
-     * Run-grain batched functional fast path: consume staged
-     * instruction spans (InstSource::fetchSpan) with bulk event
-     * extraction (EventProducer::commitSpan) instead of per-
-     * instruction round-trips. Results are bit-identical either way
-     * (enforced by tests and the release CI fingerprint check); false
-     * forces the per-instruction path. The FADE_NO_SPAN environment
-     * variable (any value) also forces it off, so benchmarks can A/B
-     * the two paths without a config plumb-through.
+     * Run-grain span fast path: consume staged instruction spans
+     * (InstSource::fetchSpan) with bulk event extraction
+     * (EventProducer::commitSpan) instead of per-instruction
+     * round-trips. Results are bit-identical either way (enforced by
+     * tests/test_spanpath.cc); false forces the per-instruction path,
+     * which unaccelerated shards take regardless.
      */
     bool spanFastPath = true;
     /**
@@ -285,10 +278,6 @@ class MonitoringSystem
     const MonitorProcess *monitorProcess() const { return mproc_.get(); }
     Cycle now() const { return now_; }
 
-    /** The run-to-stall driver, or nullptr under Engine::PerCycle
-     *  (host-side accounting; include system/pipeline.hh to use). */
-    const PipelineDriver *pipelineDriver() const { return driver_.get(); }
-
     /** The run-grain driver, or nullptr unless Engine::RunGrain
      *  (include system/rungrain.hh to use). */
     const RunGrainDriver *runGrainDriver() const { return rg_.get(); }
@@ -300,8 +289,7 @@ class MonitoringSystem
      * Advance by at most @p maxCycles cycles, stopping as soon as
      * @p targetRetired app instructions have retired since the last
      * statistics reset — through the configured engine: the per-cycle
-     * reference loop, or the run-to-stall pipeline driver. Both stop at
-     * exactly the same cycle with exactly the same machine state.
+     * reference loop, or the run-grain driver.
      * Used by run()/warmup() and by the shard scheduler's bounded
      * slices (ShardRunner::runSlice).
      * @return the number of simulated cycles consumed.
@@ -310,7 +298,6 @@ class MonitoringSystem
                           std::uint64_t targetRetired);
 
   private:
-    friend class PipelineDriver;
     friend class RunGrainDriver;
 
     void tickAll();
@@ -343,8 +330,6 @@ class MonitoringSystem
     std::unique_ptr<Core> appCore_; ///< also the single shared core
     std::unique_ptr<Core> monCore_; ///< two-core config only
 
-    /** Run-to-stall driver (Engine::Batched only). */
-    std::unique_ptr<PipelineDriver> driver_;
     /** Run-grain driver (Engine::RunGrain only). */
     std::unique_ptr<RunGrainDriver> rg_;
 

@@ -125,50 +125,6 @@ FadeGroup::tick(Cycle now)
         u->tick(now);
 }
 
-bool
-FadeGroup::steeringActive() const
-{
-    if (eq_->empty())
-        return false;
-    if (serialUnit_ >= 0 && !units_[unsigned(serialUnit_)]->quiesced())
-        return false; // gate closed until the unit settles
-    const MonEvent &head = eq_->front();
-    if (!head.isInst())
-        return allQuiesced(); // serializer steers only into a quiet group
-    return !inlets_[rr_]->full();
-}
-
-FadeGroupStallProfile
-FadeGroup::stallProfile(Cycle now) const
-{
-    FadeGroupStallProfile g;
-    if (units_.size() == 1) {
-        g.units[0] = units_[0]->stallProfile(now);
-        g.active = g.units[0].active;
-        g.wakeAt = g.units[0].wakeAt;
-        return g;
-    }
-    if (steeringActive())
-        return g; // active = true
-    g.active = false;
-    for (unsigned i = 0; i < units_.size(); ++i) {
-        g.units[i] = units_[i]->stallProfile(now);
-        if (g.units[i].active) {
-            g.active = true;
-            return g;
-        }
-        g.wakeAt = std::min(g.wakeAt, g.units[i].wakeAt);
-    }
-    return g;
-}
-
-void
-FadeGroup::skipCycles(const FadeGroupStallProfile &p, std::uint64_t n)
-{
-    for (unsigned i = 0; i < units_.size(); ++i)
-        units_[i]->skipCycles(p.units[i], n);
-}
-
 FadeGroup::RunGrainSteered
 FadeGroup::processEventRunGrain(MonEvent ev)
 {

@@ -22,7 +22,6 @@
 #ifndef FADE_SYSTEM_TOPOLOGY_HH
 #define FADE_SYSTEM_TOPOLOGY_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,21 +66,8 @@ struct Topology
     }
 };
 
-/** Hard cap on Topology::fadesPerShard (sizes the stall profile). */
+/** Hard cap on Topology::fadesPerShard. */
 constexpr unsigned maxFadesPerShard = 8;
-
-/**
- * Aggregate stall assessment of a FadeGroup at one cycle (batched
- * engine). Inert (`active == false`) only when steering provably does
- * nothing and every unit's own profile is inert; `units[i]` then holds
- * unit i's profile for batch-applying the skipped cycles' counters.
- */
-struct FadeGroupStallProfile
-{
-    bool active = true;
-    Cycle wakeAt = invalidCycle;
-    std::array<FadeStallProfile, maxFadesPerShard> units;
-};
 
 /**
  * K FADE filter units behind one event queue.
@@ -134,17 +120,6 @@ class FadeGroup
     /** Advance one cycle: steer (K > 1), then tick units in order. */
     void tick(Cycle now);
 
-    /**
-     * Would tick(@p now) change anything beyond per-cycle counters?
-     * Pure; conservative (claims active whenever steering might act).
-     */
-    FadeGroupStallProfile stallProfile(Cycle now) const;
-
-    /** Batch-apply @p n skipped cycles' counters to every unit. Only
-     *  legal when stallProfile() returned @p p with active == false
-     *  and no external input changed during the span. */
-    void skipCycles(const FadeGroupStallProfile &p, std::uint64_t n);
-
     /** Software completed the handler of @p ev: route the completion
      *  to the unit that forwarded it (ev.unit, stamped by steering). */
     void
@@ -194,8 +169,6 @@ class FadeGroup
 
   private:
     bool allQuiesced() const;
-    /** Steering provably takes no action this cycle (stall profile). */
-    bool steeringActive() const;
     void steer();
 
     std::vector<std::unique_ptr<Fade>> units_;

@@ -65,7 +65,6 @@ class TraceGenerator : public InstSource
         pending_.pop_front();
         return i;
     }
-    bool supportsRuns() const override { return true; }
 
     /**
      * Bulk generalization of fetchNext(): the staged block is a flat

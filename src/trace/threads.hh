@@ -112,7 +112,6 @@ class ThreadedSource : public InstSource
             return nullptr;
         return &staged_[stagedHead_++];
     }
-    bool supportsRuns() const override { return true; }
     std::size_t stageRun(std::size_t n) override;
 
     /** Bulk fetchNext(): consume staged instructions as one

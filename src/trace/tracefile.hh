@@ -310,7 +310,6 @@ class ReplaySource : public InstSource
     bool available() override { return cursor_.remaining() != 0; }
     Instruction fetch() override;
     const Instruction *fetchNext() override;
-    bool supportsRuns() const override { return true; }
 
     /** Records are pre-decoded per block; staging just makes sure the
      *  next block is decoded (a hint — the consumed stream is
@@ -373,8 +372,6 @@ class CaptureSource : public InstSource
             writer_.append(stream_, *i);
         return i;
     }
-
-    bool supportsRuns() const override { return inner_.supportsRuns(); }
 
     /** Staging happens in the inner source; the tee appends records at
      *  consumption time (fetch/fetchNext/fetchSpan), so capture order

@@ -83,9 +83,9 @@ differentialMatrix()
     std::vector<WireSessionConfig> m;
     m.push_back(liveConfig("MemLeak", "bzip"));
     m.push_back(liveConfig("AddrCheck", "mcf", 2, 1, 0));
-    m.push_back(liveConfig("MemLeak", "gcc", 2, 0, 1, 2));
+    m.push_back(liveConfig("MemLeak", "gcc", 2, 0, 2, 2));
     m.push_back(liveConfig("TaintCheck", "astar", 1, 0, 0));
-    m.push_back(liveConfig("AtomCheck", "ocean", 2, 1, 1));
+    m.push_back(liveConfig("AtomCheck", "ocean", 2, 1, 0));
     m.push_back(liveConfig("RaceCheck", "ocean-mt", 2, 1, 0));
     m.push_back(liveConfig("SharedTaint", "streamcluster-mt", 4, 0, 0));
     m.push_back(liveConfig("MemLeak", "bzip", 1, 0, 2));
@@ -219,7 +219,7 @@ TEST(DaemonDifferential, RepeatedRunsAreDeterministic)
     Faded daemon(cfg);
     daemon.start();
 
-    WireSessionConfig wc = liveConfig("AddrCheck", "mcf", 2, 1, 1);
+    WireSessionConfig wc = liveConfig("AddrCheck", "mcf", 2, 1, 2);
     SessionOutcome a = runSession(sock.path(), wc);
     SessionOutcome b = runSession(sock.path(), wc);
     ASSERT_TRUE(a.ok);
@@ -550,6 +550,8 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
         const char *what;
         WireSessionConfig wc;
         Reason reason;
+        /** Substring the reject message must carry. */
+        const char *says = "";
     };
     std::vector<Case> cases;
     cases.push_back({"unknown monitor",
@@ -577,12 +579,20 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
         wc.engine = 7;
         cases.push_back({"unknown engine", wc, Reason::BadConfig});
     }
+    {
+        WireSessionConfig wc = liveConfig("MemLeak", "bzip");
+        wc.engine = 1;
+        cases.push_back({"retired batched engine", wc, Reason::BadConfig,
+                         "batched"});
+    }
 
     for (const Case &c : cases) {
         DaemonClient client(sock.path());
         auto rej = client.configure(c.wc);
         ASSERT_TRUE(rej.has_value()) << c.what;
         EXPECT_EQ(rej->reason, c.reason) << c.what;
+        EXPECT_NE(rej->message.find(c.says), std::string::npos)
+            << c.what << ": " << rej->message;
         client.close();
     }
 

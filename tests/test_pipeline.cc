@@ -1,27 +1,21 @@
 /**
  * @file
- * Engine-equality tests.
+ * Engine-equality tests for the run-grain engine (Engine::RunGrain,
+ * system/rungrain.hh) against the per-cycle reference.
  *
- * Run-to-stall batched engine (Engine::Batched, system/pipeline.hh):
- * must produce bit-identical results to the per-cycle reference engine
- * for every configuration — the acceptance contract of the engine.
- * Fingerprints come from resultFingerprint(), which flattens every
- * simulated value a run produces (aggregate + per-shard results, all
- * FADE counters, occupancy histograms, bug reports, shared-L2
- * counters).
- *
- * Run-grain engine (Engine::RunGrain, system/rungrain.hh): timing is
- * modeled in closed form, so its cycle counts diverge from the
- * reference by design; the contract is instead (a) bit-identical
- * *functional* results (MonitoringSystem::functionalFingerprint) on
- * matched instruction windows for every monitor whose handlers do not
- * feed filter-visible state back while younger events are already in
- * the filter pipe, (b) precisely-pinned divergence shapes for the
- * configurations that do feed state back (the per-cycle pipeline
- * gathers metadata / prepares handlers ahead of older handlers'
- * effects; run-grain is strictly event-serial), and (c) full
- * determinism and scheduler-policy invariance of the run-grain results
- * themselves — docs/ARCHITECTURE.md, "Run-grain engine".
+ * Run-grain timing is modeled in closed form, so its cycle counts
+ * diverge from the reference by design; the contract is instead (a)
+ * bit-identical *functional* results
+ * (MonitoringSystem::functionalFingerprint) on matched instruction
+ * windows for every monitor whose handlers do not feed filter-visible
+ * state back while younger events are already in the filter pipe, (b)
+ * precisely-pinned divergence shapes for the configurations that do
+ * feed state back (the per-cycle pipeline gathers metadata / prepares
+ * handlers ahead of older handlers' effects; run-grain is strictly
+ * event-serial), and (c) full determinism and scheduler-policy
+ * invariance of the run-grain results themselves — fingerprints from
+ * resultFingerprint(), which flattens every simulated value a run
+ * produces (docs/ARCHITECTURE.md, "Run-grain engine").
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +27,6 @@
 #include "monitor/factory.hh"
 #include "monitor/process.hh"
 #include "system/multicore.hh"
-#include "system/pipeline.hh"
 #include "system/rungrain.hh"
 #include "trace/profile.hh"
 
@@ -56,18 +49,6 @@ runOnce(MultiCoreConfig cfg, std::uint64_t warm = kWarm,
     return resultFingerprint(sys, r);
 }
 
-/** Fingerprints of the same configuration under both engines. */
-void
-expectEngineInvariant(const MultiCoreConfig &cfg, std::uint64_t warm = kWarm,
-                      std::uint64_t run = kRun)
-{
-    MultiCoreConfig per = cfg;
-    per.engine = Engine::PerCycle;
-    MultiCoreConfig bat = cfg;
-    bat.engine = Engine::Batched;
-    EXPECT_EQ(runOnce(per, warm, run), runOnce(bat, warm, run));
-}
-
 MultiCoreConfig
 baseConfig(const std::string &anchor, unsigned shards = 1)
 {
@@ -80,156 +61,10 @@ baseConfig(const std::string &anchor, unsigned shards = 1)
 
 } // namespace
 
-TEST(PipelineEngine, BitIdenticalAcrossSpecProfiles)
-{
-    // Every SPEC profile, single shard: the engines agree bit for bit.
-    for (const std::string &b : specBenchmarks()) {
-        SCOPED_TRACE(b);
-        expectEngineInvariant(baseConfig(b));
-    }
-}
-
-TEST(PipelineEngine, BitIdenticalAcrossMonitors)
-{
-    // Every lifeguard the factory knows, on two shards so cross-shard
-    // L2 interference is in play as well.
-    for (const std::string &m : monitorNames()) {
-        SCOPED_TRACE(m);
-        MultiCoreConfig cfg = baseConfig("astar", 2);
-        cfg.monitor = m;
-        expectEngineInvariant(cfg);
-    }
-}
-
-TEST(PipelineEngine, BitIdenticalAcrossShardCountsAndPolicies)
-{
-    // N in {1, 2, 4, 8} under both scheduler policies. hostThreads
-    // forces a real worker pool even on a single-CPU host.
-    for (unsigned n : {1u, 2u, 4u, 8u}) {
-        for (auto pol : {SchedulerPolicy::Lockstep,
-                         SchedulerPolicy::ParallelBatched}) {
-            SCOPED_TRACE(testing::Message()
-                         << "N=" << n << " policy=" << unsigned(pol));
-            MultiCoreConfig cfg = baseConfig("hmmer", n);
-            cfg.scheduler.policy = pol;
-            cfg.scheduler.hostThreads = 4;
-            expectEngineInvariant(cfg, 3000, 6000);
-        }
-    }
-}
-
-TEST(PipelineEngine, BitIdenticalAcrossSliceSizes)
-{
-    // Slice boundaries land mid-burst at 256; the batched engine must
-    // stop at exactly the same cycle as the per-cycle loop every time.
-    for (std::uint64_t slice : {256ull, 4096ull}) {
-        SCOPED_TRACE(slice);
-        MultiCoreConfig cfg = baseConfig("mcf", 2);
-        cfg.scheduler.sliceTicks = slice;
-        expectEngineInvariant(cfg);
-    }
-}
-
-TEST(PipelineEngine, BitIdenticalAcrossSystemVariants)
-{
-    // The engine must be exact for every system shape, not only the
-    // default SMT + non-blocking FADE configuration.
-    struct Variant
-    {
-        const char *name;
-        void (*apply)(MultiCoreConfig &);
-    };
-    const Variant variants[] = {
-        {"twoCore",
-         [](MultiCoreConfig &c) { c.shard.twoCore = true; }},
-        {"unaccelerated",
-         [](MultiCoreConfig &c) { c.shard.accelerated = false; }},
-        {"perfectConsumer",
-         [](MultiCoreConfig &c) {
-             c.shard.perfectConsumer = true;
-             c.shard.eqCapacity = 0;
-         }},
-        {"blockingFade",
-         [](MultiCoreConfig &c) { c.shard.fade.nonBlocking = false; }},
-        {"noDrainOnHighLevel",
-         [](MultiCoreConfig &c) {
-             c.shard.fade.drainOnHighLevel = false;
-         }},
-        {"inOrderCore",
-         [](MultiCoreConfig &c) { c.shard.core = inOrderParams(); }},
-        {"leanCoreTinyQueues",
-         [](MultiCoreConfig &c) {
-             c.shard.core = leanOooParams();
-             c.shard.eqCapacity = 4;
-             c.shard.ueqCapacity = 2;
-         }},
-        {"unmonitored", [](MultiCoreConfig &c) { c.monitor = ""; }},
-    };
-    for (const Variant &v : variants) {
-        SCOPED_TRACE(v.name);
-        MultiCoreConfig cfg = baseConfig("gcc");
-        v.apply(cfg);
-        expectEngineInvariant(cfg);
-    }
-}
-
-TEST(PipelineEngine, LegacySingleCoreRunMatchesPerCycle)
-{
-    // The engine also backs MonitoringSystem::run()/warmup() directly
-    // (no scheduler): same RunResult, same monitor verdicts.
-    for (const char *prof : {"astar", "mcf"}) {
-        SCOPED_TRACE(prof);
-        RunResult rr[2];
-        std::uint64_t reports[2];
-        std::uint64_t eqPushes[2];
-        for (int i = 0; i < 2; ++i) {
-            SystemConfig cfg;
-            cfg.engine = i ? Engine::Batched : Engine::PerCycle;
-            auto mon = makeMonitor("MemCheck");
-            MonitoringSystem sys(cfg, specProfile(prof), mon.get());
-            sys.warmup(kWarm);
-            rr[i] = sys.run(kRun);
-            reports[i] = mon->reports().size();
-            eqPushes[i] = sys.eventQueue().pushes();
-        }
-        EXPECT_EQ(rr[0].cycles, rr[1].cycles);
-        EXPECT_EQ(rr[0].appInstructions, rr[1].appInstructions);
-        EXPECT_EQ(rr[0].monitoredEvents, rr[1].monitoredEvents);
-        EXPECT_EQ(rr[0].appStallCycles, rr[1].appStallCycles);
-        EXPECT_EQ(rr[0].monIdleCycles, rr[1].monIdleCycles);
-        EXPECT_EQ(rr[0].handlerInstructions, rr[1].handlerInstructions);
-        EXPECT_EQ(rr[0].handlersRun, rr[1].handlersRun);
-        EXPECT_EQ(reports[0], reports[1]);
-        EXPECT_EQ(eqPushes[0], eqPushes[1]);
-    }
-}
-
-TEST(PipelineEngine, DriverAccountingIsSane)
-{
-    SystemConfig cfg;
-    cfg.engine = Engine::Batched;
-    auto mon = makeMonitor("AddrCheck");
-    MonitoringSystem sys(cfg, specProfile("astar"), mon.get());
-    ASSERT_NE(sys.pipelineDriver(), nullptr);
-    sys.warmup(kWarm);
-    RunResult r = sys.run(kRun);
-    const PipelineDriverStats &ps = sys.pipelineDriver()->stats();
-    // Every simulated cycle is either fused-executed or skipped; drain
-    // cycles run outside the driver, so driver cycles are a lower
-    // bound of the elapsed clock and at least cover the measured run.
-    EXPECT_GE(ps.fusedCycles + ps.skippedCycles, r.cycles);
-    EXPECT_LE(ps.fusedCycles + ps.skippedCycles, sys.now());
-    EXPECT_GE(ps.skippedCycles, ps.jumps); // every jump skips >= 1
-    if (ps.jumps > 0) {
-        EXPECT_GT(ps.skippedCycles, 0u);
-    }
-}
-
-TEST(PipelineEngine, PerCycleSystemHasNoDriver)
+TEST(RunGrainEngine, PerCycleSystemHasNoDriver)
 {
     SystemConfig cfg;
     MonitoringSystem sys(cfg, specProfile("astar"), nullptr);
-    EXPECT_EQ(sys.pipelineDriver(), nullptr);
     EXPECT_EQ(sys.runGrainDriver(), nullptr);
 }
 
@@ -543,7 +378,6 @@ TEST(RunGrainEngine, DriverAccountingIsSane)
     auto mon = makeMonitor("AddrCheck");
     MonitoringSystem sys(cfg, specProfile("astar"), mon.get());
     ASSERT_NE(sys.runGrainDriver(), nullptr);
-    EXPECT_EQ(sys.pipelineDriver(), nullptr);
     sys.warmup(kWarm);
     RunResult r = sys.run(kRun);
     const RunGrainDriverStats &gs = sys.runGrainDriver()->stats();

@@ -19,7 +19,7 @@
  *    (they carry placement-invariant keys); timing fingerprints
  *    legitimately differ. Within one fixed shape the full result
  *    fingerprint must be bit-identical across scheduler policies and
- *    engines sharing the per-cycle timing model, and across repeats.
+ *    across repeats.
  *  - The run-grain engine is in the detection matrix too: thread
  *    interleaving is retirement-quantum-driven, so the instruction
  *    streams — and with them the report unions — are engine-invariant
@@ -128,8 +128,7 @@ struct Shape
 constexpr Shape matrixShapes[] = {{1, 1}, {2, 1}, {4, 1}, {4, 2}};
 constexpr SchedulerPolicy matrixPolicies[] = {
     SchedulerPolicy::Lockstep, SchedulerPolicy::ParallelBatched};
-constexpr Engine matrixEngines[] = {Engine::PerCycle, Engine::Batched,
-                                    Engine::RunGrain};
+constexpr Engine matrixEngines[] = {Engine::PerCycle, Engine::RunGrain};
 
 /** Run the full N x policy x engine x topology matrix and demand the
  *  report union matches the N=1 reference bit for bit everywhere. */
@@ -209,7 +208,7 @@ TEST(ThreadMatrix, MonitorsStayInTheirLane)
 TEST(ThreadMatrix, RepeatedRunsAreDeterministic)
 {
     const BenchProfile p = processProfile(3, 1);
-    for (Engine eng : {Engine::Batched, Engine::RunGrain}) {
+    for (Engine eng : {Engine::PerCycle, Engine::RunGrain}) {
         const MultiCoreConfig cfg =
             processConfig(p, "RaceCheck", 4, 2,
                           SchedulerPolicy::ParallelBatched, eng);
@@ -222,11 +221,10 @@ TEST(ThreadMatrix, RepeatedRunsAreDeterministic)
 
 TEST(ThreadMatrix, PolicyAndEngineBitIdenticalPerShape)
 {
-    // Per-cycle and batched share one timing model, so their full
-    // fingerprints (cycle counts included) match the per-shape
-    // reference bit for bit under either scheduler policy. The
-    // run-grain engine models timing: its full fingerprint is pinned
-    // against its own per-shape reference instead — still
+    // Per-cycle full fingerprints (cycle counts included) match the
+    // per-shape reference bit for bit under either scheduler policy.
+    // The run-grain engine models timing: its full fingerprint is
+    // pinned against its own per-shape reference instead — still
     // policy-invariant — while its reports join the cross-engine
     // detection matrix above.
     const BenchProfile p = processProfile(2, 1);

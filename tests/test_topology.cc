@@ -1,7 +1,7 @@
 /**
  * @file
  * Clustered-topology tests: flat-case bit-identity against pre-refactor
- * golden fingerprints, cross-policy/engine/run determinism over the
+ * golden fingerprints, cross-policy/run determinism over the
  * clusters x fadesPerShard matrix, directory routing invariants,
  * rollup sums, and multi-FADE steering.
  */
@@ -49,14 +49,14 @@ TopoRun
 runTopology(unsigned shards, const char *monitor, const char *anchor,
             unsigned clusters, unsigned fadesPerShard,
             SchedulerPolicy pol = SchedulerPolicy::Lockstep,
-            Engine eng = Engine::PerCycle)
+            unsigned hostThreads = 0)
 {
     MultiCoreConfig cfg;
     cfg.numShards = shards;
     cfg.monitor = monitor;
     cfg.workloads = multiprogramWorkloads(anchor);
     cfg.scheduler.policy = pol;
-    cfg.engine = eng;
+    cfg.scheduler.hostThreads = hostThreads;
     cfg.topology.clusters = clusters;
     cfg.topology.fadesPerShard = fadesPerShard;
     MultiCoreSystem sys(cfg);
@@ -107,37 +107,36 @@ TEST(Topology, GoldenFlatFingerprints)
         const char *monitor;
         unsigned n;
         bool parallel;
-        bool batched;
         std::uint64_t hash;
     };
     const Golden golden[] = {
-        {"hmmer", "MemLeak", 1, false, false, 0xE78BB961937DC23FULL},
-        {"hmmer", "MemLeak", 2, false, false, 0x0F0E431480908B64ULL},
-        {"gcc", "AddrCheck", 4, true, true, 0x11390AE9F493BC00ULL},
-        {"mcf", "TaintCheck", 2, false, true, 0xC56DDA0D768F46D8ULL},
-        {"astar", "AddrCheck", 1, true, false, 0x1882ECA0818C5BB9ULL},
-        {"bzip", "MemCheck", 4, false, false, 0x6DA1301FB8A8DBB3ULL},
-        {"hmmer", "", 2, false, false, 0x10A23F27F9FF8C70ULL},
-        {"gobmk", "MemLeak", 8, true, true, 0x618FC551A025696CULL},
+        {"hmmer", "MemLeak", 1, false, 0xE78BB961937DC23FULL},
+        {"hmmer", "MemLeak", 2, false, 0x0F0E431480908B64ULL},
+        {"gcc", "AddrCheck", 4, true, 0x11390AE9F493BC00ULL},
+        {"mcf", "TaintCheck", 2, false, 0xC56DDA0D768F46D8ULL},
+        {"astar", "AddrCheck", 1, true, 0x1882ECA0818C5BB9ULL},
+        {"bzip", "MemCheck", 4, false, 0x6DA1301FB8A8DBB3ULL},
+        {"hmmer", "", 2, false, 0x10A23F27F9FF8C70ULL},
+        {"gobmk", "MemLeak", 8, true, 0x618FC551A025696CULL},
     };
     for (const Golden &g : golden) {
         SCOPED_TRACE(std::string(g.anchor) + "/" + g.monitor + "/N=" +
                      std::to_string(g.n));
-        TopoRun t = runTopology(
-            g.n, g.monitor, g.anchor, 1, 1,
-            g.parallel ? SchedulerPolicy::ParallelBatched
-                       : SchedulerPolicy::Lockstep,
-            g.batched ? Engine::Batched : Engine::PerCycle);
+        TopoRun t = runTopology(g.n, g.monitor, g.anchor, 1, 1,
+                                g.parallel
+                                    ? SchedulerPolicy::ParallelBatched
+                                    : SchedulerPolicy::Lockstep);
         EXPECT_EQ(fnv1a(t.fingerprint), g.hash);
     }
 }
 
 TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
 {
-    // For every topology in the matrix, all four policy x engine
-    // combinations and a repeated run must agree bit for bit: the
-    // scheduler's and the batched engine's equality arguments extend
-    // to clustered, multi-FADE systems.
+    // For every topology in the matrix, both policies and a repeated
+    // run of the per-cycle reference must agree bit for bit: the
+    // scheduler's equality argument extends to clustered, multi-FADE
+    // systems. (Run-grain's policy invariance is pinned in
+    // tests/test_pipeline.cc and tests/test_threads.cc.)
     for (unsigned clusters : {1u, 2u, 4u}) {
         for (unsigned k : {1u, 2u}) {
             SCOPED_TRACE("clusters=" + std::to_string(clusters) +
@@ -145,15 +144,11 @@ TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
             TopoRun ref = runTopology(4, "MemLeak", "hmmer", clusters, k);
             for (auto pol : {SchedulerPolicy::Lockstep,
                              SchedulerPolicy::ParallelBatched}) {
-                for (Engine eng :
-                     {Engine::PerCycle, Engine::Batched}) {
-                    TopoRun t = runTopology(4, "MemLeak", "hmmer",
-                                            clusters, k, pol, eng);
-                    EXPECT_EQ(t.fingerprint, ref.fingerprint)
-                        << "policy=" << int(pol)
-                        << " engine=" << int(eng);
-                    EXPECT_EQ(t.reports, ref.reports);
-                }
+                TopoRun t = runTopology(4, "MemLeak", "hmmer", clusters,
+                                        k, pol);
+                EXPECT_EQ(t.fingerprint, ref.fingerprint)
+                    << "policy=" << int(pol);
+                EXPECT_EQ(t.reports, ref.reports);
             }
         }
     }
@@ -316,17 +311,16 @@ TEST(Topology, MultiFadeHighLevelSerializationStaysSound)
     // TaintCheck depends on taint-source bulk updates ordering against
     // subsequent filtering; MemLeak on malloc/free ordering. Both must
     // run deterministically with two units and report identically
-    // across engines.
+    // whether the shards run in lockstep or concurrently on two
+    // worker threads.
     for (const char *mon : {"TaintCheck", "MemLeak"}) {
         SCOPED_TRACE(mon);
-        TopoRun per = runTopology(2, mon, "mcf", 1, 2,
-                                  SchedulerPolicy::Lockstep,
-                                  Engine::PerCycle);
-        TopoRun bat = runTopology(2, mon, "mcf", 1, 2,
-                                  SchedulerPolicy::Lockstep,
-                                  Engine::Batched);
-        EXPECT_EQ(per.fingerprint, bat.fingerprint);
-        EXPECT_EQ(per.reports, bat.reports);
+        TopoRun lock = runTopology(2, mon, "mcf", 1, 2,
+                                   SchedulerPolicy::Lockstep);
+        TopoRun par = runTopology(2, mon, "mcf", 1, 2,
+                                  SchedulerPolicy::ParallelBatched, 2);
+        EXPECT_EQ(lock.fingerprint, par.fingerprint);
+        EXPECT_EQ(lock.reports, par.reports);
     }
 }
 

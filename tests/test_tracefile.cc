@@ -4,7 +4,7 @@
  *
  * - ReplayMatrix: capture -> replay is bit-identical (result
  *   fingerprint hash) for every monitor, across shard counts, both
- *   scheduler policies, both engines, and flat vs clustered topology.
+ *   scheduler policies, and flat vs clustered topology.
  * - CaptureDoesNotPerturb: teeing the generator through CaptureSource
  *   leaves the live run's full fingerprint vector untouched, and the
  *   captured bytes are policy-invariant.
@@ -115,8 +115,8 @@ replayHash(const std::string &path, SchedulerPolicy pol, Engine eng)
         drive(sys, m.warmupInstructions, m.measureInstructions));
 }
 
-/** Capture one monitor on three shapes; replay each under every
- *  policy x engine combination and demand the captured hash. */
+/** Capture one monitor on three shapes; replay each under both
+ *  policies and demand the captured hash. */
 void
 checkReplayMatrix(const char *monitor, const char *bench)
 {
@@ -134,11 +134,10 @@ checkReplayMatrix(const char *monitor, const char *bench)
                       kWarm, kRun);
         for (SchedulerPolicy pol : {SchedulerPolicy::Lockstep,
                                     SchedulerPolicy::ParallelBatched})
-            for (Engine eng : {Engine::PerCycle, Engine::Batched})
-                EXPECT_EQ(replayHash(t.path(), pol, eng), h)
-                    << monitor << "/" << bench << " " << s.shards << "x"
-                    << s.clusters << "x" << s.fades << " policy="
-                    << int(pol) << " engine=" << int(eng);
+            EXPECT_EQ(replayHash(t.path(), pol, Engine::PerCycle), h)
+                << monitor << "/" << bench << " " << s.shards << "x"
+                << s.clusters << "x" << s.fades << " policy="
+                << int(pol);
     }
 }
 
@@ -705,11 +704,7 @@ TEST(RunGrainReplay, CapturedStreamsFunctionallyEngineInvariant)
     // runs out exactly at the quota, so per-cycle cannot overshoot
     // either), and every functional value — retirement/event counts,
     // filter verdicts, handler work, bug reports — must match bit for
-    // bit. The batched engine is excluded: its run-to-stall frontend
-    // demands fetch-ahead margin beyond the retirement target, which an
-    // exact-quota stream cannot supply (it is bit-identical to
-    // per-cycle on generated streams, so its coverage rides on the
-    // per-cycle leg).
+    // bit.
     struct Shape
     {
         unsigned shards, clusters, fades;
