@@ -14,6 +14,7 @@
 #include <string>
 
 #include "monitor/factory.hh"
+#include "sim/logging.hh"
 #include "sim/table.hh"
 #include "system/system.hh"
 #include "trace/profile.hh"
@@ -36,15 +37,15 @@ benchmarksFor(const std::string &monitor)
     return specBenchmarks();
 }
 
+/** The profile @p bench names under @p monitor (lookupProfile);
+ *  fatal when there is none. */
 inline BenchProfile
 profileFor(const std::string &monitor, const std::string &bench)
 {
-    // "-mt" names a multi-threaded process workload of the base
-    // benchmark (trace/profiles.cc): ocean-mt, streamcluster-mt, ...
-    if (bench.size() > 3 && bench.compare(bench.size() - 3, 3, "-mt") == 0)
-        return threadedProfile(bench.substr(0, bench.size() - 3));
-    return monitor == "AtomCheck" ? parallelProfile(bench)
-                                  : specProfile(bench);
+    std::optional<BenchProfile> p = lookupProfile(monitor, bench);
+    fatal_if(!p, "unknown benchmark profile '", bench, "' for monitor '",
+             monitor, "'");
+    return *p;
 }
 
 /** Cycles for the unmonitored baseline (cached per profile+core). */

@@ -67,7 +67,7 @@ baseConfig(const std::vector<BenchProfile> &mix, unsigned n,
     cfg.scheduler.policy = pol;
     cfg.engine = eng;
     cfg.topology.clusters = clusters;
-    cfg.topology.fadesPerShard = fadesPerShard;
+    cfg.shard.fadesPerShard = fadesPerShard;
     return cfg;
 }
 
@@ -322,8 +322,8 @@ smoke()
         TimedRun lock;
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched}) {
-            MultiCoreConfig cfg = baseConfig(mix, 0, pol, eng, 2, 2);
-            cfg.topology.shardsPerCluster = 2; // 2 clusters x 2 shards
+            // 2 clusters x 2 shards.
+            MultiCoreConfig cfg = baseConfig(mix, 4, pol, eng, 2, 2);
             TimedRun t = runConfig(cfg);
             jsonLine(4, pol, eng, 2, 2, t);
             if (pol == SchedulerPolicy::Lockstep) {

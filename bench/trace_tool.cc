@@ -93,7 +93,7 @@ captureConfig(const Options &opt)
     cfg.monitor = opt.monitor;
     cfg.numShards = opt.shards;
     cfg.topology.clusters = opt.clusters;
-    cfg.topology.fadesPerShard = opt.fades;
+    cfg.shard.fadesPerShard = opt.fades;
     cfg.scheduler.policy = opt.policy;
     cfg.engine = opt.engine;
     cfg.workloads = {profileFor(opt.monitor, opt.profile)};
@@ -440,6 +440,13 @@ main(int argc, char **argv)
             opt.maxRecords = std::strtoull(next("--max"), nullptr, 10);
         } else if (!std::strcmp(argv[i], "--policy")) {
             std::string p = next("--policy");
+            if (p != "lockstep" && p != "parallel") {
+                std::fprintf(stderr,
+                             "unknown --policy '%s' (expected lockstep "
+                             "or parallel)\n",
+                             p.c_str());
+                return usage();
+            }
             opt.policy = p == "parallel" ? SchedulerPolicy::ParallelBatched
                                          : SchedulerPolicy::Lockstep;
             opt.policySet = true;

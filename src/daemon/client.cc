@@ -98,7 +98,8 @@ DaemonClient::configure(const WireSessionConfig &wc,
 }
 
 SessionOutcome
-DaemonClient::run(int perFrameSleepMs)
+DaemonClient::run(int perFrameSleepMs,
+                  const std::function<void()> &onStarted)
 {
     writeFrame(fd_, {std::uint8_t(FrameType::Run)});
 
@@ -110,6 +111,8 @@ DaemonClient::run(int perFrameSleepMs)
                 std::chrono::milliseconds(perFrameSleepMs));
         switch (FrameType(body.at(0))) {
           case FrameType::Started:
+            if (onStarted)
+                onStarted();
             break;
           case FrameType::Progress: {
             wire::Dec d = frameDec(body, "progress");

@@ -9,6 +9,7 @@
 #ifndef FADE_DAEMON_CLIENT_HH
 #define FADE_DAEMON_CLIENT_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,8 +58,10 @@ class DaemonClient
     /** Start the configured session and block until it finishes
      *  (Result + Bye) or fails. @p perFrameSleepMs > 0 sleeps between
      *  received frames — the slow-reader knob the backpressure tests
-     *  use to force the daemon to park this session. */
-    SessionOutcome run(int perFrameSleepMs = 0);
+     *  use to force the daemon to park this session; @p onStarted runs
+     *  once the pool has admitted it (the Started frame). */
+    SessionOutcome run(int perFrameSleepMs = 0,
+                       const std::function<void()> &onStarted = {});
 
     /** Orderly goodbye (Close frame); the destructor only closes the
      *  socket. */

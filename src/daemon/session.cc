@@ -1,9 +1,7 @@
 #include "daemon/session.hh"
 
-#include <algorithm>
 #include <cstdio>
 
-#include "monitor/factory.hh"
 #include "trace/profile.hh"
 
 namespace fade::daemon
@@ -11,61 +9,6 @@ namespace fade::daemon
 
 namespace
 {
-
-bool
-contains(const std::vector<std::string> &v, const std::string &n)
-{
-    return std::find(v.begin(), v.end(), n) != v.end();
-}
-
-bool
-isThreadedName(const std::string &name)
-{
-    return name.size() > 3 &&
-           name.compare(name.size() - 3, 3, "-mt") == 0;
-}
-
-/** Resolve a profile name exactly like the benchmark harnesses
- *  (bench/common.hh: profileFor), but reject unknown names instead of
- *  letting the profile factory fatal(). */
-BenchProfile
-resolveProfile(const std::string &monitor, const std::string &name)
-{
-    if (isThreadedName(name)) {
-        std::string base = name.substr(0, name.size() - 3);
-        if (!contains(parallelBenchmarks(), base))
-            throw SessionReject(Reason::BadConfig,
-                                "unknown -mt base benchmark: " + name);
-        return threadedProfile(base);
-    }
-    if (monitor == "AtomCheck") {
-        if (!contains(parallelBenchmarks(), name))
-            throw SessionReject(Reason::BadConfig,
-                                "unknown parallel benchmark: " + name);
-        return parallelProfile(name);
-    }
-    if (!contains(specBenchmarks(), name))
-        throw SessionReject(Reason::BadConfig,
-                            "unknown benchmark profile: " + name);
-    return specProfile(name);
-}
-
-void
-checkShape(std::uint32_t shards, std::uint32_t clusters,
-           std::uint32_t fadesPerShard)
-{
-    if (shards == 0 || shards > maxSessionShards)
-        throw SessionReject(Reason::BadConfig,
-                            "shards must be 1.." +
-                                std::to_string(maxSessionShards));
-    if (clusters == 0 || shards % clusters != 0)
-        throw SessionReject(Reason::BadConfig,
-                            "shards must divide evenly over clusters");
-    if (fadesPerShard == 0 || fadesPerShard > maxFadesPerShard)
-        throw SessionReject(Reason::BadConfig,
-                            "fadesPerShard must be 1.." +
-                                std::to_string(maxFadesPerShard));
-}
 
 /** Decode the wire engine value; 1 named the retired batched engine. */
 Engine
@@ -126,53 +69,38 @@ applyOverrides(MultiCoreConfig &cfg, const WireSessionConfig &wc)
 SessionPlan
 livePlan(const WireSessionConfig &wc)
 {
-    if (wc.profiles.empty())
-        throw SessionReject(Reason::BadConfig,
-                            "a live session needs >= 1 profile");
     if (wc.profiles.size() > maxSessionShards)
         throw SessionReject(Reason::BadConfig, "too many profiles");
-    if (!wc.monitor.empty() &&
-        !contains(monitorNames(), wc.monitor))
+    if (wc.shards > maxSessionShards)
         throw SessionReject(Reason::BadConfig,
-                            "unknown monitor: " + wc.monitor);
-    checkShape(wc.shards, wc.clusters, wc.fadesPerShard);
+                            "shards must be at most " +
+                                std::to_string(maxSessionShards));
     checkKnobs(wc);
     checkBudget(wc.warmup, wc.measure);
 
     SessionPlan plan;
     plan.cfg.monitor = wc.monitor;
     for (const std::string &name : wc.profiles) {
-        BenchProfile p = resolveProfile(wc.monitor, name);
-        p.seed += wc.seedOffset;
-        plan.cfg.workloads.push_back(p);
-    }
-
-    // Multi-threaded process workloads carry the same constraints the
-    // system would fatal on: one process profile for the whole system,
-    // at least one thread per shard. The cross-shard monitors only
-    // make sense on one.
-    const bool threaded = plan.cfg.workloads.front().procThreads > 0;
-    for (const BenchProfile &p : plan.cfg.workloads)
-        if ((p.procThreads > 0) != threaded ||
-            (threaded && plan.cfg.workloads.size() > 1))
+        std::optional<BenchProfile> p = lookupProfile(wc.monitor, name);
+        if (!p)
             throw SessionReject(Reason::BadConfig,
-                                "a -mt process profile cannot mix "
-                                "with other workloads");
-    if (threaded &&
-        wc.shards > plan.cfg.workloads.front().procThreads)
-        throw SessionReject(Reason::BadConfig,
-                            "more shards than process threads");
-    if ((wc.monitor == "RaceCheck" || wc.monitor == "SharedTaint") &&
-        !threaded)
-        throw SessionReject(Reason::BadConfig,
-                            wc.monitor +
-                                " needs a -mt process workload");
-
+                                "unknown benchmark profile: " + name);
+        p->seed += wc.seedOffset;
+        plan.cfg.workloads.push_back(*p);
+    }
     plan.cfg.numShards = wc.shards;
     plan.cfg.topology.clusters = wc.clusters;
-    plan.cfg.topology.fadesPerShard = wc.fadesPerShard;
+    plan.cfg.shard.fadesPerShard = wc.fadesPerShard;
     plan.cfg.topology.remoteLatency = wc.remoteLatency;
     applyOverrides(plan.cfg, wc);
+    if (std::string err = validateConfig(plan.cfg); !err.empty())
+        throw SessionReject(Reason::BadConfig, err);
+    // The system runs the cross-shard monitors on any workload, but
+    // they only observe sharing inside one multi-threaded process.
+    if ((wc.monitor == "RaceCheck" || wc.monitor == "SharedTaint") &&
+        plan.cfg.workloads.front().procThreads == 0)
+        throw SessionReject(Reason::BadConfig,
+                            wc.monitor + " needs a -mt process workload");
     plan.warmup = wc.warmup;
     plan.measure = wc.measure;
     return plan;
@@ -201,15 +129,14 @@ uploadPlan(const WireSessionConfig &wc, const std::string &tracePath)
     } catch (const TraceError &e) {
         throw SessionReject(Reason::BadTrace, e.what());
     }
-    if (!m.present)
-        throw SessionReject(Reason::BadTrace,
-                            "uploaded trace has no replay manifest");
     checkBudget(m.warmupInstructions, m.measureInstructions);
     if (m.numShards > maxSessionShards)
         throw SessionReject(Reason::BadTrace,
                             "uploaded trace exceeds the session "
                             "shard cap");
     applyOverrides(plan.cfg, wc);
+    if (std::string err = validateConfig(plan.cfg); !err.empty())
+        throw SessionReject(Reason::BadTrace, err);
     plan.warmup = m.warmupInstructions;
     plan.measure = m.measureInstructions;
     return plan;

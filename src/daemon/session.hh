@@ -6,13 +6,13 @@
  * .ftrace — validated, built into a MultiCoreSystem, and executed in
  * bounded quanta under the session pool.
  *
- * Validation happens here, before any simulator object exists:
- * fatal()/panic() terminate the process by design, so every condition
- * the construction path would fatal on (unknown monitor or profile
- * names, shard/cluster divisibility, -mt process constraints, filter
- * unit bounds) is checked against client input first and surfaced as a
- * typed SessionReject instead. A config that passes sessionPlan()
- * cannot reach a fatal().
+ * Validation happens here, before any simulator object exists, since
+ * fatal()/panic() end the process: the daemon's own rules (wire values;
+ * caps on shards, profiles, budget and sliceTicks; profile names;
+ * RaceCheck/SharedTaint need a -mt workload), then validateConfig()
+ * (system/multicore.hh) for the system's; a failure is a typed
+ * SessionReject. A config that passes sessionPlan() cannot reach a
+ * fatal().
  *
  * Isolation argument, step by step: a Session owns its entire
  * simulator (MultiCoreSystem, monitors, workload generators, trace

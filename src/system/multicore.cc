@@ -1,5 +1,8 @@
 #include "system/multicore.hh"
 
+#include <algorithm>
+
+#include "core/regfiles.hh"
 #include "monitor/factory.hh"
 #include "monitor/interleave.hh"
 #include "sim/logging.hh"
@@ -7,10 +10,70 @@
 namespace fade
 {
 
+std::string
+validateConfig(const MultiCoreConfig &cfg)
+{
+    using log_detail::str;
+    const unsigned n = cfg.numShards;
+    const unsigned clusters = cfg.topology.clusters;
+    if (clusters == 0)
+        return "topology: clusters must be >= 1";
+    if (cfg.shard.fadesPerShard == 0 ||
+        cfg.shard.fadesPerShard > maxFadesPerShard)
+        return str("topology: fadesPerShard must be in [1, ",
+                   maxFadesPerShard, "]");
+    if (n == 0)
+        return "topology: numShards must be >= 1";
+    if (n % clusters != 0)
+        return str("topology: numShards (", n,
+                   ") must divide evenly across ", clusters, " clusters");
+    if (n > 256)
+        return "shard tag is 8 bits (max 256 shards)";
+    if (cfg.scheduler.sliceTicks == 0)
+        return "sliceTicks must be >= 1";
+    if (cfg.shard.core.width == 0)
+        return "core width must be positive";
+    if (cfg.shard.core.robSize == 0)
+        return "ROB size must be positive";
+    const std::vector<std::string> &monitors = monitorNames();
+    if (!cfg.monitor.empty() &&
+        std::find(monitors.begin(), monitors.end(), cfg.monitor) ==
+            monitors.end())
+        return "unknown monitor: " + cfg.monitor;
+    if (cfg.workloads.empty())
+        return "multi-core system needs >= 1 workload";
+
+    // Multi-threaded process mode: every shard hosts threads of ONE
+    // process (thread t on shard t % numShards), so a process profile
+    // cannot share the system with unrelated workloads, and the thread
+    // count must cover (and divide across) the shards.
+    const BenchProfile &first = cfg.workloads.front();
+    const unsigned threads = first.procThreads;
+    for (const BenchProfile &p : cfg.workloads)
+        if ((p.procThreads > 0) != (threads > 0) ||
+            (threads > 0 && (p.procThreads != threads ||
+                             p.name != first.name || p.seed != first.seed)))
+            return "a multi-threaded process profile cannot mix with "
+                   "other workloads";
+    if (threads == 0)
+        return "";
+    if (threads > maxThreads)
+        return str("process has ", threads,
+                   " threads but the MD register file supports ",
+                   maxThreads);
+    if (n > threads)
+        return str("more shards (", n, ") than process threads (",
+                   threads, ")");
+    if (threads % n != 0)
+        return str("process threads (", threads,
+                   ") must divide evenly across shards (", n, ")");
+    return "";
+}
+
 BenchProfile
 shardWorkload(const std::vector<BenchProfile> &workloads, unsigned idx)
 {
-    fatal_if(workloads.empty(), "multi-core system needs >= 1 workload");
+    panic_if(workloads.empty(), "shardWorkload() of an empty list");
     unsigned pos = idx % unsigned(workloads.size());
     BenchProfile p = workloads[pos];
     // Threads of one multi-threaded process share the plan seed: every
@@ -42,6 +105,15 @@ shardWorkload(const std::vector<BenchProfile> &workloads, unsigned idx)
 namespace
 {
 
+/** @p cfg itself, or fatal() with the first rule it breaks. */
+const MultiCoreConfig &
+validated(const MultiCoreConfig &cfg)
+{
+    const std::string err = validateConfig(cfg);
+    fatal_if(!err.empty(), err);
+    return cfg;
+}
+
 DirectoryParams
 directoryParams(const MultiCoreConfig &cfg)
 {
@@ -56,14 +128,8 @@ directoryParams(const MultiCoreConfig &cfg)
 } // namespace
 
 MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
-    : cfg_(cfg), dir_(directoryParams(cfg))
+    : cfg_(validated(cfg)), dir_(directoryParams(cfg_))
 {
-    // Resolve the cluster shape against numShards (validates that the
-    // shards split evenly across clusters) and make it authoritative.
-    cfg_.numShards = cfg_.topology.resolveShards(cfg_.numShards);
-    fatal_if(cfg_.numShards > 256, "shard tag is 8 bits (max 256 shards)");
-    unsigned perCluster = cfg_.numShards / cfg_.topology.clusters;
-
     if (!cfg_.traceIn.empty()) {
         reader_ = std::make_unique<TraceReader>(cfg_.traceIn);
         fatal_if(reader_->numStreams() != cfg_.numShards,
@@ -76,26 +142,9 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
         writer_->setConfigFingerprint(traceConfigFingerprint(cfg_));
     }
 
-    // Multi-threaded process mode: every shard hosts threads of ONE
-    // process (thread t on shard t % numShards), so a process profile
-    // cannot share the system with unrelated workloads, and the thread
-    // count must cover (and divide across) the shards.
-    const unsigned procThreads =
-        cfg_.workloads.empty() ? 0 : cfg_.workloads.front().procThreads;
-    for (const BenchProfile &p : cfg_.workloads)
-        fatal_if((p.procThreads > 0) != (procThreads > 0) ||
-                     (p.procThreads > 0 &&
-                      (p.procThreads != procThreads ||
-                       p.name != cfg_.workloads.front().name ||
-                       p.seed != cfg_.workloads.front().seed)),
-                 "a multi-threaded process profile cannot mix with "
-                 "other workloads");
-    if (procThreads > 0) {
-        fatal_if(cfg_.numShards > procThreads, "more shards (",
-                 cfg_.numShards, ") than process threads (", procThreads,
-                 ")");
+    const unsigned procThreads = cfg_.workloads.front().procThreads;
+    if (procThreads > 0)
         procShared_ = std::make_unique<ProcessShared>(procThreads);
-    }
 
     for (unsigned i = 0; i < cfg_.numShards; ++i) {
         BenchProfile prof = shardWorkload(cfg_.workloads, i);
@@ -115,10 +164,9 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
         SystemConfig scfg = cfg_.shard;
         scfg.shardId = std::uint8_t(i);
         scfg.engine = cfg_.engine;
-        scfg.fadesPerShard = cfg_.topology.fadesPerShard;
         scfg.traceIn = reader_.get();
         scfg.traceOut = writer_.get();
-        unsigned cluster = cfg_.topology.clusterOf(i, perCluster);
+        unsigned cluster = i / (cfg_.numShards / cfg_.topology.clusters);
         shardClusters_.push_back(cluster);
         // The shard's nominal L2 is its own cluster's slice; all
         // L2-bound traffic actually routes through the shard's
@@ -380,7 +428,7 @@ MultiCoreSystem::finishTrace(bool hasResult, std::uint64_t resultHash)
     m.numShards = cfg_.numShards;
     m.clusters = cfg_.topology.clusters;
     m.shardsPerCluster = cfg_.numShards / cfg_.topology.clusters;
-    m.fadesPerShard = cfg_.topology.fadesPerShard;
+    m.fadesPerShard = cfg_.shard.fadesPerShard;
     m.remoteLatency = cfg_.topology.remoteLatency;
     m.sliceTicks = cfg_.scheduler.sliceTicks;
     m.eqCapacity = cfg_.shard.eqCapacity;
@@ -422,8 +470,7 @@ traceConfigFingerprint(const MultiCoreConfig &cfg)
     };
     v.push_back(cfg.numShards);
     v.push_back(cfg.topology.clusters);
-    v.push_back(cfg.topology.shardsPerCluster);
-    v.push_back(cfg.topology.fadesPerShard);
+    v.push_back(cfg.shard.fadesPerShard);
     v.push_back(cfg.topology.remoteLatency);
     v.push_back(cfg.scheduler.sliceTicks);
     v.push_back(cfg.shard.eqCapacity);
@@ -455,13 +502,19 @@ replayConfig(const std::string &path)
         throw TraceError("'" + path + "' carries no replay manifest "
                          "(capture was not finished with closeTrace)");
 
+    if (m.numShards != r.numStreams() ||
+        m.numShards != m.clusters * m.shardsPerCluster)
+        throw TraceError(log_detail::str(
+            "'", path, "' manifest describes ", m.numShards, " shards (",
+            m.clusters, " clusters x ", m.shardsPerCluster, ") but holds ",
+            r.numStreams(), " streams"));
+
     MultiCoreConfig cfg;
     cfg.traceIn = path;
     cfg.monitor = m.monitor;
     cfg.numShards = unsigned(m.numShards);
     cfg.topology.clusters = unsigned(m.clusters);
-    cfg.topology.shardsPerCluster = unsigned(m.shardsPerCluster);
-    cfg.topology.fadesPerShard = unsigned(m.fadesPerShard);
+    cfg.shard.fadesPerShard = unsigned(m.fadesPerShard);
     cfg.topology.remoteLatency = unsigned(m.remoteLatency);
     cfg.scheduler.sliceTicks = m.sliceTicks;
     cfg.shard.eqCapacity = std::size_t(m.eqCapacity);

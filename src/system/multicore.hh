@@ -18,11 +18,11 @@
  *
  * MultiCoreConfig::topology generalizes the memory side into a
  * NUMA-style clustered system (system/topology.hh, mem/directory.hh):
- * `clusters x shardsPerCluster` shards, each cluster with its own
- * shared-L2 slice, addresses routed to their home slice by the
- * directory with a remote-cluster penalty, and optionally K filter
- * units per shard (FadeGroup). The flat defaults (`clusters = 1,
- * fadesPerShard = 1`) reproduce the pre-topology system bit for bit
+ * `numShards` shards split evenly across `clusters` clusters, each with
+ * its own shared-L2 slice, addresses routed to their home slice by the
+ * directory with a remote-cluster penalty, and shard.fadesPerShard
+ * filter units per shard (FadeGroup). The flat defaults (`clusters =
+ * 1, fadesPerShard = 1`) reproduce the pre-topology system bit for bit
  * (tests/test_topology.cc, docs/TOPOLOGY.md).
  */
 
@@ -73,14 +73,8 @@ struct MultiCoreConfig
      * modeled.
      */
     Engine engine = Engine::PerCycle;
-    /**
-     * Cluster shape: shared-L2 slices, shards per cluster, filter
-     * units per shard, remote-slice penalty (system/topology.hh).
-     * When topology.shardsPerCluster is nonzero it determines the
-     * shard count and numShards is ignored; otherwise numShards is
-     * split evenly across topology.clusters. topology.fadesPerShard
-     * overrides shard.fadesPerShard on every shard, like engine.
-     */
+    /** Cluster shape: shared-L2 slices and the remote-slice penalty
+     *  (system/topology.hh). */
     Topology topology;
     /**
      * Replay: drive every shard from this captured trace file instead
@@ -292,6 +286,13 @@ class MultiCoreSystem
 };
 
 /**
+ * The first rule @p cfg breaks, as the message MultiCoreSystem's
+ * constructor fatal()s with, or "" if it builds without a fatal(). The
+ * one home of these rules; the daemon rejects client input with it.
+ */
+std::string validateConfig(const MultiCoreConfig &cfg);
+
+/**
  * The profile shard @p idx runs under round-robin distribution of
  * @p workloads (seed-offset applied for repeated profiles).
  */
@@ -331,7 +332,8 @@ std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
  * set, so constructing a MultiCoreSystem from it replays the capture;
  * drive it with the manifest's warmup/measure instruction counts to
  * reproduce the recorded run bit for bit. Throws TraceError when the
- * file is unreadable or carries no manifest.
+ * file is unreadable, carries no manifest, or its manifest's shard
+ * count disagrees with its streams or clusters x shardsPerCluster.
  */
 MultiCoreConfig replayConfig(const std::string &path);
 

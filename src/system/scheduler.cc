@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "sim/logging.hh"
+#include "trace/tracefile.hh"
 
 namespace fade
 {
@@ -88,10 +89,8 @@ ShardScheduler::ShardScheduler(const SchedulerConfig &cfg,
                                const std::vector<unsigned> &clusters)
     : cfg_(cfg)
 {
-    fatal_if(shards.empty(), "scheduler needs >= 1 shard");
     fatal_if(clusters.size() != shards.size(),
              "scheduler needs one home cluster per shard");
-    fatal_if(cfg_.sliceTicks == 0, "sliceTicks must be >= 1");
     for (std::size_t i = 0; i < shards.size(); ++i)
         runners_.push_back(std::make_unique<ShardRunner>(
             *shards[i], dir, clusters[i]));
@@ -228,9 +227,14 @@ ShardScheduler::stepEpochs(std::uint64_t maxEpochs)
 
     unsigned n = left();
     for (std::uint64_t e = 0; n != 0 && e < maxEpochs; ++e, n = left()) {
-        for (auto &r : runners_)
+        for (auto &r : runners_) {
+            if (r->starved())
+                throw TraceError(std::string("a replayed stream ran dry "
+                                             "before the ") +
+                                 what_ + " target");
             panic_if(!r->done() && r->ticksUsed() >= cycleLimit_,
                      "multi-core ", what_, " failed to make progress");
+        }
         auto e0 = std::chrono::steady_clock::now();
         runEpoch();
         stats_.epochWall.sample(secondsSince(e0));

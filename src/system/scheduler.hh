@@ -126,6 +126,9 @@ class ShardRunner
         return sys_.retired() >= target_;
     }
 
+    /** Has its replayed stream run dry short of the target? */
+    bool starved() const { return !done() && sys_.replayExhausted(); }
+
     /**
      * Advance the shard by at most @p maxTicks cycles, stopping early
      * at the run target. Worker-thread safe: touches only this shard's
@@ -182,7 +185,7 @@ class ShardScheduler
 {
   public:
     /**
-     * @param cfg       policy, slice length, worker count
+     * @param cfg       policy, slice length (>= 1), worker count
      * @param shards    one MonitoringSystem per shard (not owned)
      * @param dir       the clustered LLC behind all shards
      * @param clusters  home cluster of each shard (same length as
@@ -201,7 +204,8 @@ class ShardScheduler
      * Advance every shard by @p instructions retired instructions,
      * slicing and merging per the policy. Panics (like the legacy
      * lockstep loop) if a shard exceeds sliceCycleLimit() without
-     * reaching its target. @p what names the phase in diagnostics.
+     * reaching its target; throws TraceError if a replayed shard's
+     * stream runs dry first. @p what names the phase in diagnostics.
      * Equivalent to beginRun() + stepEpochs(until done).
      */
     void run(std::uint64_t instructions, const char *what);

@@ -278,6 +278,12 @@ MonitoringSystem::retired() const
     return producer_->retired();
 }
 
+bool
+MonitoringSystem::replayExhausted() const
+{
+    return replay_ && !replay_->available() && appCore_->drained();
+}
+
 std::uint64_t
 MonitoringSystem::produced() const
 {

@@ -248,6 +248,8 @@ class MonitoringSystem
 
     /** The replay source, or nullptr when generating live. */
     ReplaySource *replaySource() { return replay_.get(); }
+    /** Replay ran dry: no record left and nothing in flight. */
+    bool replayExhausted() const;
 
     /** Emit this shard's buffered capture records as one trace block
      *  (no-op without capture). The shard scheduler calls this at

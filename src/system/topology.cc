@@ -18,22 +18,6 @@ constexpr std::size_t inletCapacity = 2;
 
 } // namespace
 
-unsigned
-Topology::resolveShards(unsigned numShards) const
-{
-    fatal_if(clusters == 0, "topology: clusters must be >= 1");
-    fatal_if(fadesPerShard == 0 || fadesPerShard > maxFadesPerShard,
-             "topology: fadesPerShard must be in [1, ",
-             maxFadesPerShard, "]");
-    if (shardsPerCluster != 0)
-        return clusters * shardsPerCluster;
-    fatal_if(numShards == 0, "topology: numShards must be >= 1");
-    fatal_if(numShards % clusters != 0,
-             "topology: numShards (", numShards,
-             ") must divide evenly across ", clusters, " clusters");
-    return numShards;
-}
-
 FadeGroup::FadeGroup(unsigned units, const FadeParams &p,
                      MonitorContext &ctx, Cache *l2,
                      std::uint8_t shardId)

@@ -6,10 +6,10 @@
  * one shared L2, one FADE per shard. This header generalizes both axes
  * (docs/TOPOLOGY.md):
  *
- *  - Topology — `clusters x shardsPerCluster` shards, each cluster with
- *    its own shared-L2 slice behind a home-node directory
- *    (mem/directory.hh) that routes by address hash and charges a
- *    remote-cluster penalty.
+ *  - Topology — `numShards` shards split evenly across `clusters`
+ *    clusters, each cluster with its own shared-L2 slice behind a
+ *    home-node directory (mem/directory.hh) that routes by address
+ *    hash and charges a remote-cluster penalty.
  *  - FadeGroup — K filter units per shard behind the shard's one event
  *    queue, with deterministic strict round-robin event steering,
  *    group-serialized stack/high-level events, and merged statistics.
@@ -33,7 +33,7 @@ namespace fade
 {
 
 /**
- * Shape of a clustered multi-core monitoring system
+ * Memory-side shape of a clustered multi-core monitoring system
  * (MultiCoreConfig::topology). The flat defaults reproduce the
  * pre-topology system exactly.
  */
@@ -41,32 +41,11 @@ struct Topology
 {
     /** Shared-L2 clusters (each with its own LLC slice). */
     unsigned clusters = 1;
-    /**
-     * Shards per cluster; 0 derives it from MultiCoreConfig::numShards
-     * (which must then divide evenly by @ref clusters). When nonzero it
-     * is authoritative: the system has clusters * shardsPerCluster
-     * shards regardless of numShards.
-     */
-    unsigned shardsPerCluster = 0;
-    /** Filter units per shard (FadeGroup size), 1..maxFadesPerShard. */
-    unsigned fadesPerShard = 1;
     /** Extra cycles to reach a remote cluster's L2 slice. */
     unsigned remoteLatency = 40;
-
-    /** Total shards this topology describes given @p numShards from
-     *  the config; validates divisibility (fatal on mismatch). */
-    unsigned resolveShards(unsigned numShards) const;
-
-    /** Cluster of @p shard under block assignment: shards
-     *  [c*spc, (c+1)*spc) form cluster c. */
-    unsigned
-    clusterOf(unsigned shard, unsigned shardsPerClusterResolved) const
-    {
-        return shard / shardsPerClusterResolved;
-    }
 };
 
-/** Hard cap on Topology::fadesPerShard. */
+/** Hard cap on SystemConfig::fadesPerShard. */
 constexpr unsigned maxFadesPerShard = 8;
 
 /**

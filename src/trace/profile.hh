@@ -18,6 +18,7 @@
 #define FADE_TRACE_PROFILE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,14 @@ BenchProfile parallelProfile(const std::string &name);
  */
 BenchProfile threadedProfile(const std::string &base,
                              unsigned threads = 4);
+
+/**
+ * The profile @p name selects under @p monitor, or empty if none:
+ * "<base>-mt" is threadedProfile(<base>), any other name a parallel
+ * benchmark under AtomCheck and a SPEC benchmark otherwise.
+ */
+std::optional<BenchProfile> lookupProfile(const std::string &monitor,
+                                          const std::string &name);
 
 /** Names of the modelled SPEC2006-int benchmarks. */
 const std::vector<std::string> &specBenchmarks();

@@ -1,5 +1,7 @@
 #include "trace/profile.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace fade
@@ -18,6 +20,12 @@ seedOf(const std::string &name)
         h *= 1099511628211ULL;
     }
     return h | 1;
+}
+
+bool
+listed(const std::vector<std::string> &names, const std::string &name)
+{
+    return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 } // namespace
@@ -292,6 +300,22 @@ threadedProfile(const std::string &base, unsigned threads)
         p.procSections = 72;
     }
     return p;
+}
+
+std::optional<BenchProfile>
+lookupProfile(const std::string &monitor, const std::string &name)
+{
+    const std::size_t n = name.size();
+    if (n > 3 && name.compare(n - 3, 3, "-mt") == 0) {
+        if (listed(parallelBenchmarks(), name.substr(0, n - 3)))
+            return threadedProfile(name.substr(0, n - 3));
+    } else if (monitor == "AtomCheck") {
+        if (listed(parallelBenchmarks(), name))
+            return parallelProfile(name);
+    } else if (listed(specBenchmarks(), name)) {
+        return specProfile(name);
+    }
+    return std::nullopt;
 }
 
 } // namespace fade

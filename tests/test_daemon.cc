@@ -17,7 +17,10 @@
  *    frames, garbage floods, disconnects mid-upload and mid-run. The
  *    contract: a typed per-session error, never a daemon crash, hang,
  *    or contamination of the next session (every case ends by running
- *    a clean session against the same daemon).
+ *    a clean session against the same daemon). Config validation is
+ *    held to the same contract by a property test: seeded near-valid
+ *    live configs and edited upload manifests must each end in a typed
+ *    rejection or error or a completed run, never a process exit.
  *
  *  - DaemonAdmission.* / DaemonBackpressure.*: the pool's admission
  *    cap rejects with a typed reason; a slow reader parks only its
@@ -31,6 +34,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +44,8 @@
 #include "daemon/daemon.hh"
 #include "daemon/session.hh"
 #include "daemon/sessionpool.hh"
+#include "monitor/factory.hh"
+#include "sim/random.hh"
 #include "system/multicore.hh"
 #include "testutil.hh"
 #include "trace/profile.hh"
@@ -160,6 +167,303 @@ helloFrameBytes()
     e.u8(std::uint8_t(FrameType::Hello));
     encodeHello(e, protocolVersion);
     return sealFrame(e.out);
+}
+
+/** Capture a small sealed trace (200 warmup + 800 measured
+ *  instructions per shard) of @p profile under @p monitor. */
+void
+captureSmall(const std::string &path, const std::string &monitor,
+             const std::string &profile, unsigned shards)
+{
+    MultiCoreConfig cap;
+    cap.monitor = monitor;
+    cap.numShards = shards;
+    cap.workloads = {*lookupProfile(monitor, profile)};
+    cap.traceOut = path;
+    MultiCoreSystem sys(cap);
+    sys.warmup(200);
+    MultiCoreResult r = sys.run(800);
+    sys.closeTrace(fingerprintHash(resultFingerprint(sys, r)));
+}
+
+/** Write the trace at @p from out again to @p to through the library's
+ *  own TraceWriter — streams verbatim, valid CRCs — with @p edit
+ *  applied to its manifest. */
+void
+rewriteManifest(const std::string &from, const std::string &to,
+                const std::function<void(TraceManifest &)> &edit)
+{
+    TraceReader r(from);
+    TraceWriter w(to);
+    w.setConfigFingerprint(r.configFingerprint());
+    for (unsigned s = 0; s < r.numStreams(); ++s)
+        w.addStream(r.stream(s));
+    for (unsigned s = 0; s < r.numStreams(); ++s) {
+        ReplaySource src(r, s);
+        while (src.available())
+            w.append(s, src.fetch());
+    }
+    TraceManifest m = r.manifest();
+    edit(m);
+    w.setManifest(m);
+    w.close();
+}
+
+template <typename T>
+T
+pick(Rng &rng, const std::vector<T> &v)
+{
+    return v[rng.range(std::uint32_t(v.size()))];
+}
+
+/** One case of the never-exit property: a live config, or an upload
+ *  of a small capture with one manifest field changed. */
+struct FuzzCase
+{
+    WireSessionConfig wc;
+    /** Upload cases only: the capture's monitor, profile and shard
+     *  count, and the manifest edit (editManifest()). */
+    std::string captureMonitor;
+    std::string captureProfile;
+    unsigned captureShards = 1;
+    unsigned editField = 0;
+    std::uint64_t editValue = 0;
+};
+
+/** Monitor names the cases draw from: every known one, the
+ *  unmonitored baseline "" and an unknown name. */
+std::vector<std::string>
+fuzzMonitors()
+{
+    std::vector<std::string> v = monitorNames();
+    v.push_back("");
+    v.push_back("NoSuchMonitor");
+    return v;
+}
+
+/**
+ * A near-valid live config: a valid config of one workload family —
+ * SPEC under a single-process monitor, a parallel benchmark under
+ * AtomCheck, or a -mt process under RaceCheck/SharedTaint — with up to
+ * two fields then broken. Uniform draws over the whole config space
+ * almost all fail the first check they reach; one broken field of a
+ * valid config reaches the deep rules.
+ */
+FuzzCase
+liveFuzzCase(Rng &rng)
+{
+    FuzzCase c;
+    WireSessionConfig &wc = c.wc;
+    switch (rng.range(3)) {
+      case 0:
+        wc.monitor = pick<std::string>(
+            rng, {"AddrCheck", "MemCheck", "MemLeak", "TaintCheck"});
+        wc.profiles = {pick(rng, specBenchmarks())};
+        wc.shards = 1 + rng.range(4);
+        break;
+      case 1:
+        wc.monitor = "AtomCheck";
+        wc.profiles = {pick(rng, parallelBenchmarks())};
+        wc.shards = 1 + rng.range(4);
+        break;
+      default:
+        wc.monitor = rng.range(2) ? "RaceCheck" : "SharedTaint";
+        wc.profiles = {pick(rng, parallelBenchmarks()) + "-mt"};
+        wc.shards = 1u << rng.range(3); // divides the 4 threads
+        break;
+    }
+    wc.clusters = wc.shards % 2 == 0 && rng.range(2) ? 2 : 1;
+    wc.fadesPerShard = 1 + rng.range(2);
+    wc.policy = std::uint8_t(rng.range(2));
+    wc.engine = rng.range(2) ? 2 : 0;
+    wc.warmup = rng.range(500);
+    wc.measure = 1 + rng.range(1500);
+
+    for (unsigned b = rng.range(3); b > 0; --b) {
+        switch (rng.range(9)) {
+          case 0:
+            wc.shards = rng.range(10);
+            break;
+          case 1:
+            wc.clusters = rng.range(5);
+            break;
+          case 2:
+            wc.fadesPerShard = rng.range(10);
+            break;
+          case 3:
+            wc.monitor = pick(rng, fuzzMonitors());
+            break;
+          case 4:
+            wc.profiles[0] = pick<std::string>(
+                rng, {"nosuch", "nosuch-mt", "-mt", "gcc", "ocean",
+                      "ocean-mt", "gcc-mt"});
+            break;
+          case 5:
+            wc.profiles.push_back(pick<std::string>(
+                rng, {"bzip", "water", "ocean-mt", wc.profiles[0]}));
+            break;
+          case 6:
+            wc.policy = std::uint8_t(rng.range(4));
+            break;
+          case 7:
+            wc.engine = std::uint8_t(rng.range(4));
+            break;
+          case 8:
+            wc.sliceTicks = pick<std::uint64_t>(
+                rng, {1, 15, 16, 1000, 1u << 20, (1u << 20) + 1});
+            break;
+        }
+    }
+    return c;
+}
+
+/** Manifest fields the upload cases change (editManifest() field i),
+ *  and how many values, [0, n), each draws. */
+const std::vector<std::pair<std::string, std::uint32_t>> &
+manifestFields()
+{
+    static const std::vector<std::pair<std::string, std::uint32_t>> v = {
+        {"numShards", 4},
+        {"clusters", 4},
+        {"shardsPerCluster", 4},
+        {"fadesPerShard", 10},
+        {"sliceTicks", 3},
+        {"coreWidth", 3},
+        {"robSize", 3},
+        {"eqCapacity", 3},
+        {"ueqCapacity", 3},
+        {"monitor", std::uint32_t(fuzzMonitors().size())},
+        {"accelerated", 2},
+        {"twoCore", 2},
+        {"perfectConsumer", 2},
+        {"warmupInstructions", 1000},
+        {"measureInstructions", 1200},
+    };
+    return v;
+}
+
+/** Set manifestFields()[@p field] of @p m to @p x. */
+void
+editManifest(TraceManifest &m, unsigned field, std::uint64_t x)
+{
+    switch (field) {
+      case 0:
+        m.numShards = x;
+        break;
+      case 1:
+        m.clusters = x;
+        break;
+      case 2:
+        m.shardsPerCluster = x;
+        break;
+      case 3:
+        m.fadesPerShard = x;
+        break;
+      case 4:
+        m.sliceTicks = x;
+        break;
+      case 5:
+        m.coreWidth = x;
+        break;
+      case 6:
+        m.robSize = x;
+        break;
+      case 7:
+        m.eqCapacity = x;
+        break;
+      case 8:
+        m.ueqCapacity = x;
+        break;
+      case 9:
+        m.monitor = fuzzMonitors().at(x);
+        break;
+      case 10:
+        m.accelerated = x != 0;
+        break;
+      case 11:
+        m.twoCore = x != 0;
+        break;
+      case 12:
+        m.perfectConsumer = x != 0;
+        break;
+      case 13:
+        m.warmupInstructions = x;
+        break;
+      case 14:
+        m.measureInstructions = x;
+        break;
+    }
+}
+
+/** An upload of a small capture — 1-shard gcc under MemLeak or a
+ *  2-shard ocean-mt under RaceCheck — with one manifest field changed,
+ *  replayed under a random policy and engine. */
+FuzzCase
+uploadFuzzCase(Rng &rng)
+{
+    FuzzCase c;
+    c.wc.upload = true;
+    c.wc.policy = std::uint8_t(rng.range(2));
+    c.wc.engine = rng.range(2) ? 2 : 0;
+    if (rng.range(2)) {
+        c.captureMonitor = "MemLeak";
+        c.captureProfile = "gcc";
+    } else {
+        c.captureMonitor = "RaceCheck";
+        c.captureProfile = "ocean-mt";
+        c.captureShards = 2;
+    }
+    c.editField = rng.range(std::uint32_t(manifestFields().size()));
+    c.editValue = rng.range(manifestFields()[c.editField].second);
+    return c;
+}
+
+std::string
+describe(const FuzzCase &c)
+{
+    const WireSessionConfig &wc = c.wc;
+    std::string d = "policy=" + std::to_string(wc.policy) +
+                    " engine=" + std::to_string(wc.engine);
+    if (wc.upload)
+        return "upload " + c.captureProfile + "/" + c.captureMonitor +
+               " x" + std::to_string(c.captureShards) + " manifest " +
+               manifestFields()[c.editField].first + "=" +
+               std::to_string(c.editValue) + " " + d;
+    d += " monitor='" + wc.monitor + "' profiles=";
+    for (const std::string &p : wc.profiles)
+        d += p + ",";
+    return d + " shards=" + std::to_string(wc.shards) +
+           " clusters=" + std::to_string(wc.clusters) +
+           " fades=" + std::to_string(wc.fadesPerShard) +
+           " sliceTicks=" + std::to_string(wc.sliceTicks) +
+           " budget=" + std::to_string(wc.warmup) + "+" +
+           std::to_string(wc.measure);
+}
+
+/** Run @p c through the daemon's own plan -> construct -> run path
+ *  (standaloneRun). A typed rejection is as good as a completed run,
+ *  and so is a TraceError from a replay whose streams run dry before
+ *  the manifest's budget: the daemon reports it as a BadTrace error.
+ *  Returns normally unless the process dies. */
+void
+runFuzzCase(const FuzzCase &c)
+{
+    TempDir dir;
+    std::string trace;
+    if (c.wc.upload) {
+        std::string capture = dir.file("capture.ftrace");
+        trace = dir.file("edited.ftrace");
+        captureSmall(capture, c.captureMonitor, c.captureProfile,
+                     c.captureShards);
+        rewriteManifest(capture, trace, [&](TraceManifest &m) {
+            editManifest(m, c.editField, c.editValue);
+        });
+    }
+    try {
+        standaloneRun(c.wc, trace);
+    } catch (const SessionReject &) {
+    } catch (const TraceError &) {
+    }
 }
 
 } // namespace
@@ -522,6 +826,12 @@ TEST(DaemonFuzz, ClientDeathMidRunAbortsOnlyThatSession)
         wc.measure = maxSessionInstructions / 2; // long-running
         ASSERT_FALSE(dying.configure(wc).has_value());
         writeFrame(dying.fd(), {std::uint8_t(FrameType::Run)});
+        // Die only once the pool has admitted the session (Started);
+        // before that, the reaping check below could pass vacuously.
+        std::vector<std::uint8_t> body;
+        while (readFrame(dying.fd(), body) &&
+               FrameType(body.at(0)) != FrameType::Started) {
+        }
         // Abrupt death: the destructor closes the socket with the
         // session running and frames in flight.
     }
@@ -547,11 +857,13 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
 
     struct Case
     {
-        const char *what;
+        std::string what;
         WireSessionConfig wc;
         Reason reason;
         /** Substring the reject message must carry. */
         const char *says = "";
+        /** Trace to upload (wc.upload). */
+        std::string upload = "";
     };
     std::vector<Case> cases;
     cases.push_back({"unknown monitor",
@@ -569,6 +881,9 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
     cases.push_back({"more shards than process threads",
                      liveConfig("RaceCheck", "ocean-mt", 8),
                      Reason::BadConfig});
+    cases.push_back({"process threads not divisible by shards",
+                     liveConfig("RaceCheck", "ocean-mt", 3),
+                     Reason::BadConfig, "divide evenly"});
     {
         WireSessionConfig wc = liveConfig("MemLeak", "bzip");
         wc.measure = maxSessionInstructions + 1;
@@ -585,19 +900,99 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
         cases.push_back({"retired batched engine", wc, Reason::BadConfig,
                          "batched"});
     }
+    // Well-formed uploads (valid CRCs) of a 1-shard capture whose
+    // manifest breaks one rule of the system.
+    TempDir dir;
+    const std::string capture = dir.file("capture.ftrace");
+    captureSmall(capture, "MemLeak", "gcc", 1);
+    const std::pair<const char *, std::function<void(TraceManifest &)>>
+        edits[] = {
+            {"fadesPerShard = 9",
+             [](TraceManifest &m) { m.fadesPerShard = 9; }},
+            {"sliceTicks = 0", [](TraceManifest &m) { m.sliceTicks = 0; }},
+            {"robSize = 0", [](TraceManifest &m) { m.robSize = 0; }},
+            {"coreWidth = 0", [](TraceManifest &m) { m.coreWidth = 0; }},
+            {"shardsPerCluster = 2",
+             [](TraceManifest &m) { m.shardsPerCluster = 2; }},
+        };
+    for (const auto &[what, edit] : edits) {
+        std::string path =
+            dir.file(("edit" + std::to_string(cases.size())).c_str());
+        rewriteManifest(capture, path, edit);
+        WireSessionConfig wc;
+        wc.upload = true;
+        cases.push_back({std::string("upload, manifest ") + what, wc,
+                         Reason::BadTrace, "", path});
+    }
 
     for (const Case &c : cases) {
         DaemonClient client(sock.path());
-        auto rej = client.configure(c.wc);
+        auto rej = client.configure(c.wc, c.upload);
         ASSERT_TRUE(rej.has_value()) << c.what;
         EXPECT_EQ(rej->reason, c.reason) << c.what;
         EXPECT_NE(rej->message.find(c.says), std::string::npos)
             << c.what << ": " << rej->message;
         client.close();
+        expectDaemonServes(sock.path());
     }
-
-    expectDaemonServes(sock.path());
     daemon.stop();
+}
+
+TEST(DaemonFuzz, UploadThatRunsDryGetsTypedError)
+{
+    // A manifest budget beyond what the captured streams hold passes
+    // every config check; the replay then runs out of records mid-run.
+    // That is bad input, answered with a BadTrace error, not a panic.
+    TempDir dir;
+    const std::string capture = dir.file("capture.ftrace");
+    const std::string edited = dir.file("edited.ftrace");
+    captureSmall(capture, "MemLeak", "gcc", 1);
+    rewriteManifest(capture, edited, [](TraceManifest &m) {
+        m.measureInstructions += 1000;
+    });
+
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
+    for (std::uint8_t policy : {0, 1}) {
+        WireSessionConfig wc;
+        wc.upload = true;
+        wc.policy = policy;
+        wc.engine = policy ? 2 : 0;
+        SessionOutcome o = runSession(sock.path(), wc, edited);
+        EXPECT_FALSE(o.ok);
+        EXPECT_EQ(o.error.reason, Reason::BadTrace);
+        EXPECT_NE(o.error.message.find("ran dry"), std::string::npos)
+            << o.error.message;
+        expectDaemonServes(sock.path());
+    }
+    daemon.stop();
+}
+
+TEST(DaemonFuzz, RandomConfigsNeverExit)
+{
+    // Property: no client config ends the process. Each case runs in
+    // its own child, through the daemon's own plan -> construct -> run
+    // path, and must exit 0 — after a typed SessionReject or a
+    // completed run. A fatal() or panic() the validation missed fails
+    // the case and names its config.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    constexpr unsigned kLiveCases = 220;
+    constexpr unsigned kUploadCases = 80;
+    Rng rng(15);
+    for (unsigned i = 0; i < kLiveCases + kUploadCases; ++i) {
+        const FuzzCase c =
+            i < kLiveCases ? liveFuzzCase(rng) : uploadFuzzCase(rng);
+        EXPECT_EXIT(
+            {
+                runFuzzCase(c);
+                std::exit(0);
+            },
+            testing::ExitedWithCode(0), "")
+            << "case " << i << ": " << describe(c);
+    }
 }
 
 // ======================================================== admission
@@ -664,19 +1059,25 @@ TEST(DaemonAdmission, ShutdownDrainsInFlightSessions)
     };
     std::vector<SessionOutcome> outcomes(wcs.size());
     std::vector<std::thread> clients;
-    std::atomic<unsigned> started{0};
+    // A session is in flight once the pool has admitted it (Started),
+    // not once Configure is answered: a stop() landing in between
+    // refuses its Run. A session never admitted counts when its client
+    // gives up, so that failure reports below instead of hanging here.
+    std::atomic<unsigned> settled{0};
     for (std::size_t i = 0; i < wcs.size(); ++i)
         clients.emplace_back([&, i] {
+            bool admitted = false;
             DaemonClient client(sock.path());
-            if (client.configure(wcs[i])) {
-                started.fetch_add(1);
-                return;
-            }
-            started.fetch_add(1);
-            outcomes[i] = client.run();
+            if (!client.configure(wcs[i]))
+                outcomes[i] = client.run(0, [&] {
+                    admitted = true;
+                    settled.fetch_add(1);
+                });
+            if (!admitted)
+                settled.fetch_add(1);
             client.close();
         });
-    while (started.load() < wcs.size())
+    while (settled.load() < wcs.size())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     daemon.stop(true);
     for (std::thread &t : clients)

@@ -358,7 +358,7 @@ TEST(RunGrainEngine, FunctionalInvariantAcrossTopologies)
             SCOPED_TRACE(testing::Message() << clusters << "x" << fades);
             MultiCoreConfig c = cfg;
             c.topology.clusters = clusters;
-            c.topology.fadesPerShard = fades;
+            c.shard.fadesPerShard = fades;
             MultiCoreSystem sys(c);
             sys.warmup(kWarm);
             sys.run(kRun);

@@ -293,8 +293,14 @@ TEST(SpanPathEngine, ForcedOffFingerprintIdentical)
             MultiCoreConfig off = on;
             off.shard.spanFastPath = false;
 
-            auto run = [](const MultiCoreConfig &cfg) {
+            auto run = [&](const MultiCoreConfig &cfg) {
                 MultiCoreSystem sys(cfg);
+                // The K = 2 leg must really build two units per shard
+                // (an unmonitored shard builds none).
+                if (*monitor) {
+                    for (unsigned i = 0; i < sys.numShards(); ++i)
+                        EXPECT_EQ(sys.shard(i).fadeGroup()->size(), fades);
+                }
                 sys.warmup(2000);
                 MultiCoreResult r = sys.run(8000);
                 return resultFingerprint(sys, r);

@@ -329,31 +329,39 @@ TEST(ThreadCapture, ThreadCountMismatchRejectedOnReplay)
 }
 
 // ------------------------------------------------------------------
-// Guardrails of thread-count / shard / topology resolution.
+// Guardrails of thread-count / shard / topology resolution. Each rule
+// is named by validateConfig() and fatal()ed on by the constructor with
+// the same message, so the daemon's rejection and the fatal cannot
+// drift apart.
 // ------------------------------------------------------------------
+
+void
+expectBrokenRule(const MultiCoreConfig &cfg, const char *rule)
+{
+    EXPECT_NE(validateConfig(cfg).find(rule), std::string::npos)
+        << "validateConfig: '" << validateConfig(cfg) << "'";
+    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1), rule);
+}
 
 TEST(ThreadGuards, MoreThreadsThanMdRegistersIsFatal)
 {
     const BenchProfile p = threadedProfile("ocean", 8);
     MultiCoreConfig cfg = processConfig(p, "RaceCheck", 1, 1);
-    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1),
-                "register file supports");
+    expectBrokenRule(cfg, "register file supports");
 }
 
 TEST(ThreadGuards, ThreadsMustDivideAcrossShards)
 {
     const BenchProfile p = threadedProfile("ocean", 4);
     MultiCoreConfig cfg = processConfig(p, "RaceCheck", 3, 1);
-    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1),
-                "divide evenly");
+    expectBrokenRule(cfg, "divide evenly");
 }
 
 TEST(ThreadGuards, MoreShardsThanThreadsIsFatal)
 {
     const BenchProfile p = threadedProfile("ocean", 4);
     MultiCoreConfig cfg = processConfig(p, "RaceCheck", 8, 1);
-    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1),
-                "more shards");
+    expectBrokenRule(cfg, "more shards");
 }
 
 TEST(ThreadGuards, ProcessCannotMixWithOtherWorkloads)
@@ -361,25 +369,22 @@ TEST(ThreadGuards, ProcessCannotMixWithOtherWorkloads)
     MultiCoreConfig cfg =
         processConfig(threadedProfile("ocean", 4), "RaceCheck", 2, 1);
     cfg.workloads.push_back(specProfile("mcf"));
-    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1),
-                "cannot mix");
+    expectBrokenRule(cfg, "cannot mix");
 }
 
 TEST(ThreadGuards, ClusterCountMustDivideShards)
 {
     const BenchProfile p = threadedProfile("ocean", 4);
     MultiCoreConfig cfg = processConfig(p, "RaceCheck", 4, 3);
-    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1),
-                "divide evenly across");
+    expectBrokenRule(cfg, "divide evenly across");
 }
 
 TEST(ThreadGuards, FadesPerShardOutOfRangeIsFatal)
 {
     const BenchProfile p = threadedProfile("ocean", 4);
     MultiCoreConfig cfg = processConfig(p, "RaceCheck", 2, 1);
-    cfg.topology.fadesPerShard = maxFadesPerShard + 1;
-    EXPECT_EXIT(MultiCoreSystem{cfg}, testing::ExitedWithCode(1),
-                "fadesPerShard must be in");
+    cfg.shard.fadesPerShard = maxFadesPerShard + 1;
+    expectBrokenRule(cfg, "fadesPerShard must be in");
 }
 
 // ------------------------------------------------------------------

@@ -58,7 +58,7 @@ runTopology(unsigned shards, const char *monitor, const char *anchor,
     cfg.scheduler.policy = pol;
     cfg.scheduler.hostThreads = hostThreads;
     cfg.topology.clusters = clusters;
-    cfg.topology.fadesPerShard = fadesPerShard;
+    cfg.shard.fadesPerShard = fadesPerShard;
     MultiCoreSystem sys(cfg);
     sys.warmup(kWarm);
     TopoRun t;
@@ -74,25 +74,23 @@ runTopology(unsigned shards, const char *monitor, const char *anchor,
 
 TEST(Topology, ResolvesShardCounts)
 {
-    Topology t;
-    EXPECT_EQ(t.resolveShards(1), 1u);
-    EXPECT_EQ(t.resolveShards(8), 8u);
+    // numShards splits evenly across the clusters in blocks: shards
+    // [c*spc, (c+1)*spc) form cluster c.
+    MultiCoreConfig cfg;
+    cfg.workloads = {specProfile("hmmer")};
+    cfg.numShards = 8;
+    cfg.topology.clusters = 2;
+    EXPECT_EQ(validateConfig(cfg), "");
+    MultiCoreSystem sys(cfg);
+    EXPECT_EQ(sys.numClusters(), 2u);
+    EXPECT_EQ(sys.clusterOf(0), 0u);
+    EXPECT_EQ(sys.clusterOf(3), 0u);
+    EXPECT_EQ(sys.clusterOf(4), 1u);
+    EXPECT_EQ(sys.clusterOf(7), 1u);
 
-    t.clusters = 2;
-    EXPECT_EQ(t.resolveShards(8), 8u);
-    EXPECT_EQ(t.clusterOf(0, 4), 0u);
-    EXPECT_EQ(t.clusterOf(3, 4), 0u);
-    EXPECT_EQ(t.clusterOf(4, 4), 1u);
-    EXPECT_EQ(t.clusterOf(7, 4), 1u);
-
-    // shardsPerCluster is authoritative when set: 2x4 = 8 shards.
-    t.shardsPerCluster = 4;
-    EXPECT_EQ(t.resolveShards(1), 8u);
-
-    Topology bad;
-    bad.clusters = 3;
-    EXPECT_EXIT(bad.resolveShards(4), testing::ExitedWithCode(1),
-                "divide evenly");
+    cfg.topology.clusters = 3;
+    EXPECT_NE(validateConfig(cfg).find("divide evenly"),
+              std::string::npos);
 }
 
 TEST(Topology, GoldenFlatFingerprints)
@@ -165,7 +163,7 @@ TEST(Topology, RoutingIsolationAcrossClusters)
     cfg.workloads = {specProfile("hmmer"), specProfile("gcc"),
                      specProfile("bzip"), specProfile("gobmk")};
     cfg.topology.clusters = 2;
-    cfg.topology.fadesPerShard = 2;
+    cfg.shard.fadesPerShard = 2;
     MultiCoreSystem sys(cfg);
     sys.warmup(kWarm);
     sys.shard(2).generator().injectBug(truthAccessUnallocated);
@@ -332,7 +330,7 @@ TEST(Topology, MultiFadeKeepsCleanRunsQuiet)
     cfg.numShards = 2;
     cfg.monitor = "AddrCheck";
     cfg.workloads = multiprogramWorkloads("hmmer");
-    cfg.topology.fadesPerShard = 2;
+    cfg.shard.fadesPerShard = 2;
     MultiCoreSystem sys(cfg);
     sys.warmup(kWarm);
     sys.run(kRun);

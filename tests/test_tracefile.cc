@@ -78,7 +78,7 @@ matrixConfig(const char *monitor, const char *bench, unsigned shards,
     cfg.workloads = {profileOf(monitor, bench)};
     cfg.numShards = shards;
     cfg.topology.clusters = clusters;
-    cfg.topology.fadesPerShard = fades;
+    cfg.shard.fadesPerShard = fades;
     return cfg;
 }
 
@@ -605,8 +605,7 @@ TEST(ReplayGuards, StreamCountMismatchIsFatal)
     captureTo(t.path(), matrixConfig("MemLeak", "bzip", 1, 1, 1), 200,
               400);
     MultiCoreConfig cfg = replayConfig(t.path());
-    // shardsPerCluster is authoritative over numShards when set.
-    cfg.topology.shardsPerCluster = 2;
+    cfg.numShards = 2;
     EXPECT_EXIT(MultiCoreSystem sys(cfg), testing::ExitedWithCode(1),
                 "streams but this system has");
 }
