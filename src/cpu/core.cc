@@ -136,7 +136,6 @@ Core::addThread(InstSource *src, CommitSink *sink)
     HwThread t;
     t.src = src;
     t.sink = sink;
-    t.freeSink = !sink || sink->alwaysCommits();
     // Size the ROB ring once for the full (unpartitioned) capacity so
     // it never grows on the dispatch path.
     t.rob = RingDeque<RobEntry>(params_.robSize);
@@ -192,10 +191,7 @@ Core::tryCommitOne(HwThread &t, Cycle now)
     RobEntry &head = t.rob.front();
     if (head.readyAt > now)
         return false;
-    if (t.freeSink) {
-        if (t.sink)
-            t.sink->onCommit(head.inst);
-    } else if (!t.sink->commitIfAllowed(head.inst)) {
+    if (t.sink && !t.sink->commit(head.inst)) {
         ++t.stats.sinkStallCycles;
         return false;
     }
@@ -213,22 +209,13 @@ Core::tryDispatchOne(HwThread &t, Cycle now)
         return false;
     if (!t.src)
         return false;
-    // Run-replay fast path: a non-null fetchNext() (a staged workload
-    // run, a monitor handler sequence) certifies available() would
-    // have been true and side-effect free, so the round-trip is
-    // elided. A null has no side effects either (sources without runs
-    // always return it), and the reference available()/fetch()
-    // protocol runs: pops and handler builds happen at exactly the
-    // same points. The instruction lands straight in the claimed ROB
-    // slot (no staging copy).
-    const Instruction *pre = t.src->fetchNext();
-    if (!pre) {
-        if (!t.src->available())
-            return false;
-        pre = t.src->fetchNext();
-    }
+    // One call per dispatch: a span of one is the instruction, an
+    // empty span means the source has nothing this cycle.
+    InstSpan s = t.src->fetchSpan(1);
+    if (s.empty())
+        return false;
     RobEntry &e = t.rob.pushSlot();
-    e.inst = pre ? *pre : t.src->fetch();
+    e.inst = *s.data;
     dispatchInst(t, now, e);
     return true;
 }
@@ -290,7 +277,7 @@ Core::tick(Cycle now)
             ++t.stats.robFullCycles;
         if (now < t.fetchStallUntil)
             ++t.stats.fetchBubbleCycles;
-        if (t.rob.empty() && (!t.src || !t.src->available()))
+        if (t.rob.empty() && (!t.src || t.src->stageRun(1) == 0))
             ++t.stats.idleCycles;
     }
 

@@ -200,8 +200,6 @@ class Core
     {
         InstSource *src = nullptr;
         CommitSink *sink = nullptr;
-        /** Sink declared alwaysCommits(): skip canCommit entirely. */
-        bool freeSink = false;
         /** Reorder buffer: bounded FIFO in one contiguous ring (sized
          *  once in addThread; never reallocates afterwards). */
         RingDeque<RobEntry> rob;

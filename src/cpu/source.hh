@@ -1,12 +1,24 @@
 /**
  * @file
  * Interfaces between the core timing models and the components that
- * supply instructions (workload generator, monitor handler engine) and
- * observe retirement (event extraction, handler completion).
+ * supply instructions (workload generator, trace replay, monitor
+ * handler engine) and observe retirement (event extraction, handler
+ * completion).
+ *
+ * One call each way. A consumer asks stageRun(n) how many instructions
+ * the next fetchSpan(n) would serve, and fetchSpan(max) consumes them;
+ * the per-cycle core dispatches with fetchSpan(1), the run-grain driver
+ * with whole spans. A retiring instruction goes to CommitSink::commit(),
+ * which either retires it or refuses it with no effects. No source
+ * produces an instruction ahead of its consumption, so stream edits
+ * between calls (TraceGenerator::injectBug) land at the consumption
+ * point whatever span sizes the consumer uses.
  */
 
 #ifndef FADE_CPU_SOURCE_HH
 #define FADE_CPU_SOURCE_HH
+
+#include <cstddef>
 
 #include "isa/instruction.hh"
 
@@ -14,10 +26,10 @@ namespace fade
 {
 
 /**
- * A contiguous run of already-staged instructions handed out by
+ * A contiguous run of instructions handed out by
  * InstSource::fetchSpan(). The storage belongs to the source and stays
- * valid until the next fetch/stage call on it; consumers must finish
- * (or copy) the span before touching the source again.
+ * valid until the next call on it; consumers must finish (or copy) the
+ * span before touching the source again.
  */
 struct InstSpan
 {
@@ -35,61 +47,20 @@ class InstSource
   public:
     virtual ~InstSource() = default;
 
-    /** An instruction is available for fetch this cycle. */
-    virtual bool available() = 0;
-
-    /** Fetch the next instruction; call only when available(). */
-    virtual Instruction fetch() = 0;
+    /**
+     * How many of the next @p n instructions the next fetchSpan(n)
+     * serves; 0 = nothing now. May prepare (decode a trace block,
+     * build the next monitor handler) but never produces an
+     * instruction ahead of consumption.
+     */
+    virtual std::size_t stageRun(std::size_t n) = 0;
 
     /**
-     * Run-replay fast path: when the source holds a prefetched run of
-     * instructions (a monitor handler sequence), consume and return a
-     * pointer to the next one — valid until the next call on this
-     * source. Returns nullptr, with NO side effects, when no prefetched
-     * instruction exists; the caller must then fall back to the
-     * available()/fetch() protocol. A non-null return is exactly
-     * equivalent to available() (true, side-effect free here by
-     * definition) followed by fetch() — cores use it to replay handler
-     * runs without the per-instruction virtual round-trip.
+     * Consume up to @p max instructions as one contiguous span. Empty
+     * iff stageRun() would return 0; may be short at a trace-block or
+     * handler boundary (callers loop). Valid until the next call.
      */
-    virtual const Instruction *fetchNext() { return nullptr; }
-
-    /**
-     * Ask the source to pre-produce up to @p n upcoming instructions
-     * for run service through fetchNext(), without changing the stream:
-     * staging must be bit-identical to on-demand generation (same
-     * instructions, same internal draw order). Sources that cannot
-     * stage return 0 — purely an optimization hint; the consumed
-     * stream is identical either way. The run-grain engine
-     * (system/rungrain.hh) stages one batch at a time and drains it
-     * fully before returning control, so external stream edits (e.g.
-     * TraceGenerator::injectBug) never interleave with staged work.
-     */
-    virtual std::size_t
-    stageRun(std::size_t n)
-    {
-        (void)n;
-        return 0;
-    }
-
-    /**
-     * Consume up to @p max staged instructions as one contiguous span —
-     * the bulk generalization of fetchNext(). A returned span of count
-     * k is exactly equivalent to k successive fetchNext() calls (same
-     * instructions, same side effects); an empty span means nothing is
-     * staged contiguously and the caller falls back to fetchNext()/
-     * fetch(). Span storage is owned by the source and is valid until
-     * the next fetch or stage call, so batch consumers (the run-grain
-     * driver) process a whole span without a per-instruction virtual
-     * round-trip. Sources may return fewer than @p max instructions
-     * (e.g. at a trace-block boundary); callers simply loop.
-     */
-    virtual InstSpan
-    fetchSpan(std::size_t max)
-    {
-        (void)max;
-        return {};
-    }
+    virtual InstSpan fetchSpan(std::size_t max) = 0;
 };
 
 /** Observes in-order retirement of one hardware thread. */
@@ -99,39 +70,12 @@ class CommitSink
     virtual ~CommitSink() = default;
 
     /**
-     * May @p inst commit this cycle? Producers refuse when the event
+     * Retire @p inst, or refuse it: producers refuse when the event
      * queue has no room for the instruction's event (backpressure
      * stalls retirement, Section 3.2).
-     */
-    virtual bool canCommit(const Instruction &inst)
-    {
-        (void)inst;
-        return true;
-    }
-
-    /** Static property: canCommit() is unconditionally true (the
-     *  monitor handler engine never refuses retirement). Cores cache it
-     *  and skip the per-instruction canCommit round-trip. */
-    virtual bool alwaysCommits() const { return false; }
-
-    /** @p inst committed (retired in order). */
-    virtual void onCommit(const Instruction &inst) { (void)inst; }
-
-    /**
-     * Fused commit round-trip: canCommit() and, when allowed,
-     * onCommit() in a single virtual dispatch (the per-retirement fast
-     * path). Overrides must behave exactly like the default
-     * composition.
      * @return false (and no effects) when the commit was refused.
      */
-    virtual bool
-    commitIfAllowed(const Instruction &inst)
-    {
-        if (!canCommit(inst))
-            return false;
-        onCommit(inst);
-        return true;
-    }
+    virtual bool commit(const Instruction &inst) = 0;
 };
 
 } // namespace fade

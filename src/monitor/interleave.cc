@@ -213,7 +213,6 @@ analyzeRaces(const ProcessShared &ps)
 std::vector<BugReport>
 analyzeTaintFlows(const ProcessShared &ps)
 {
-    const unsigned T = ps.threads();
     std::vector<Slot> sched = canonicalSchedule(ps);
 
     struct TaintState

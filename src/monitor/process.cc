@@ -1,5 +1,7 @@
 #include "monitor/process.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace fade
@@ -44,23 +46,25 @@ MonitorProcess::startNextHandler()
     return true;
 }
 
+std::size_t
+MonitorProcess::stageRun(std::size_t n)
+{
+    if (fetchIdx_ == seq_.size() && !startNextHandler())
+        return 0;
+    return std::min(n, seq_.size() - fetchIdx_);
+}
+
+InstSpan
+MonitorProcess::fetchSpan(std::size_t max)
+{
+    std::size_t n = stageRun(max);
+    InstSpan s{seq_.data() + fetchIdx_, n};
+    fetchIdx_ += n;
+    return s;
+}
+
 bool
-MonitorProcess::available()
-{
-    if (fetchIdx_ < seq_.size())
-        return true;
-    return startNextHandler();
-}
-
-Instruction
-MonitorProcess::fetch()
-{
-    panic_if(fetchIdx_ >= seq_.size(), "fetch beyond handler sequence");
-    return seq_[fetchIdx_++];
-}
-
-void
-MonitorProcess::onCommit(const Instruction &inst)
+MonitorProcess::commit(const Instruction &inst)
 {
     (void)inst;
     panic_if(pending_.empty(), "monitor commit with no pending handler");
@@ -78,6 +82,7 @@ MonitorProcess::onCommit(const Instruction &inst)
         ++stats_.handlers;
         pending_.pop_front();
     }
+    return true;
 }
 
 bool

@@ -62,20 +62,23 @@ class MonitorProcess : public InstSource, public CommitSink
                    BoundedQueue<UnfilteredEvent> *ueq,
                    BoundedQueue<MonEvent> *eq);
 
-    bool available() override;
-    Instruction fetch() override;
-    /** Run replay: hand out the current handler sequence in place —
-     *  cores consume whole handler runs without the per-instruction
-     *  available()/fetch() virtual round-trip (cpu/source.hh). */
-    const Instruction *
-    fetchNext() override
-    {
-        if (fetchIdx_ >= seq_.size())
-            return nullptr;
-        return &seq_[fetchIdx_++];
-    }
-    bool alwaysCommits() const override { return true; }
-    void onCommit(const Instruction &inst) override;
+    /**
+     * Instructions left in the current handler, at most @p n. Once the
+     * current handler is fully handed out, this pops the next event
+     * and builds its handler: the per-cycle core's idle probe and
+     * dispatch call it at exactly the points where that pop is
+     * visible in timing.
+     */
+    std::size_t stageRun(std::size_t n) override;
+
+    /** Hand out up to @p max instructions of the current handler in
+     *  place (starting the next handler as stageRun() does); a span
+     *  never crosses into the next handler. */
+    InstSpan fetchSpan(std::size_t max) override;
+
+    /** Count a committed handler instruction; the handler's last one
+     *  applies its functional effects. Never refuses. */
+    bool commit(const Instruction &inst) override;
 
     /** No handler in flight and the input queue is empty. */
     bool idle() const;

@@ -219,8 +219,8 @@ class BoundedQueue
      * Account one entry that transited this queue without ever being
      * stored in it: one push, one pop, and an occupancy sample of
      * @p occupancy — the depth the run-grain engine's timing model
-     * computed for the arrival (system/rungrain.hh). The engine moves
-     * events through a private staging slot, so the architectural
+     * computed for the arrival (system/rungrain.hh). The engine
+     * extracts events into its own span buffer, so the architectural
      * queue's statistics are driven from modeled time instead of the
      * (always-empty) host-side state.
      */

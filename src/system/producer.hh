@@ -36,34 +36,34 @@ class EventProducer : public CommitSink
         : mon_(mon), eq_(eq), fades_(fades), shard_(shard)
     {}
 
+    /**
+     * Retire @p inst, building its event in the queue when it is
+     * monitored: one Monitor::monitored() query per retirement. A
+     * monitored instruction is refused while paused or while the
+     * queue is full.
+     */
     bool
-    canCommit(const Instruction &inst) override
+    commit(const Instruction &inst) override
     {
-        if (!mon_ || !eq_ || !mon_->monitored(inst))
+        if (!mon_ || !eq_) {
+            ++retired_;
             return true;
-        if (paused_)
+        }
+        bool monitored = mon_->monitored(inst);
+        if (monitored && (paused_ || eq_->full()))
             return false;
-        return !eq_->full();
+        ++retired_;
+        produce(inst, monitored);
+        return true;
     }
 
     /** Stall monitored retirement (used to drain the monitoring side). */
     void pause(bool p) { paused_ = p; }
 
     /**
-     * Retarget event emission at @p eq (run-grain engine): the driver
-     * points the producer at a private staging slot it drains after
-     * every retirement, so the architectural event queue's statistics
-     * can be driven from modeled time (BoundedQueue::accountTransit)
-     * instead of host-side pushes. Passing the original queue restores
-     * the per-cycle wiring. Only legal between slices, with no event
-     * in flight.
-     */
-    void rebindQueue(BoundedQueue<MonEvent> *eq) { eq_ = eq; }
-
-    /**
      * Run-grain fast path: retire @p inst with the monitored verdict
      * already decided by the caller (one Monitor::monitored() query per
-     * retirement, exactly like commitIfAllowed). The caller has already
+     * retirement, exactly like commit()). The caller has already
      * applied event-queue backpressure in its timing model, so the
      * commit always succeeds.
      */
@@ -117,31 +117,6 @@ class EventProducer : public CommitSink
         return ev;
     }
 
-    void
-    onCommit(const Instruction &inst) override
-    {
-        ++retired_;
-        if (mon_ && eq_)
-            produce(inst, mon_->monitored(inst));
-    }
-
-    /** Fused fast path: one virtual dispatch and one monitored() query
-     *  per retirement instead of the canCommit/onCommit round-trip. */
-    bool
-    commitIfAllowed(const Instruction &inst) override
-    {
-        if (!mon_ || !eq_) {
-            ++retired_;
-            return true;
-        }
-        bool monitored = mon_->monitored(inst);
-        if (monitored && (paused_ || eq_->full()))
-            return false;
-        ++retired_;
-        produce(inst, monitored);
-        return true;
-    }
-
     std::uint64_t retired() const { return retired_; }
     std::uint64_t produced() const { return produced_; }
 
@@ -185,7 +160,7 @@ class EventProducer : public CommitSink
         // Build the event in place in the queue slot (accounting is
         // identical to push(); see BoundedQueue::pushSlot).
         MonEvent *slot = eq_->pushSlot();
-        panic_if(!slot, "event queue push after canCommit check");
+        panic_if(!slot, "event queue push past a full queue");
         if (inst.isStackUpdate())
             *slot = makeStackEvent(inst, seq_);
         else if (inst.cls == InstClass::HighLevel)

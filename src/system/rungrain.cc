@@ -15,11 +15,10 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
       monHost_(sys.monCore_ ? sys.monCore_.get() : sys.appCore_.get()),
       fades_(sys.fades_.get()),
       producer_(sys.producer_.get()),
-      mproc_(sys.mproc_.get()),
-      stage_(0)
+      mproc_(sys.mproc_.get())
 {
     // The application source, exactly as the core sees it (the capture
-    // tee outermost, so staged runs are recorded at consumption).
+    // tee outermost, so spans are recorded at consumption).
     if (sys.capture_)
         appSrc_ = sys.capture_.get();
     else if (sys.replay_)
@@ -43,22 +42,6 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
         ueqStartRing_.assign(sys.cfg_.ueqCapacity, 0);
     if (fades_)
         pipes_.assign(fades_->size(), UnitPipe{});
-
-    // Events route through the driver's staging slot whenever nothing
-    // pops the architectural EQ eagerly on the host side; the real
-    // queue's statistics are then driven from modeled time
-    // (BoundedQueue::accountTransit). The unaccelerated configuration
-    // keeps the real binding: the monitor process pops the EQ
-    // directly, and the driver drains it after every retirement.
-    if (sys.mon_ && (fades_ || perfect_))
-        producer_->rebindQueue(&stage_);
-
-    // Span fast path: bulk extraction needs the producer bound to the
-    // driver (accelerated / perfect) or no events at all; the
-    // unaccelerated monitor process pops the real EQ after every
-    // retirement, so it keeps the per-instruction interleaving.
-    spanPath_ = sys.cfg_.spanFastPath &&
-                (sys.mon_ == nullptr || fades_ || perfect_);
 }
 
 Cycle
@@ -119,27 +102,26 @@ RunGrainDriver::groupQuiesce() const
 RunGrainDriver::HandlerSpan
 RunGrainDriver::runHandler(Cycle avail)
 {
-    panic_if(!mproc_ || !mproc_->available(),
-             "run-grain handler expected but none pending");
+    // One unbounded span is exactly one handler: the monitor process
+    // pops the next event and never spans into the handler after it.
+    InstSpan seq = mproc_ ? mproc_->fetchSpan(SIZE_MAX) : InstSpan{};
+    panic_if(seq.empty(), "run-grain handler expected but none pending");
     HandlerSpan span;
     ThreadStats &ms = monHost_->runGrainThreadStats(sys_.monCore_ ? 0 : 1);
-    bool first = true;
     Cycle gate = avail + monPopDelay_;
-    while (const Instruction *hi = mproc_->fetchNext()) {
-        unsigned lat = monHost_->runGrainExecLatency(*hi);
+    for (std::size_t k = 0; k < seq.count; ++k) {
+        const Instruction &hi = seq.data[k];
+        unsigned lat = monHost_->runGrainExecLatency(hi);
         RunGrainThread::Retire r =
-            monT_.retire(*hi, lat, first ? gate : 0, 0);
-        if (first) {
+            monT_.retire(hi, lat, k == 0 ? gate : 0, 0);
+        if (k == 0)
             span.start = r.dispatched;
-            first = false;
-        }
         ++ms.retired;
         ms.robFullCycles += r.robWait;
         ms.fetchBubbleCycles += r.fetchWait;
         stats_.cyclesFastForwarded += r.robWait + r.fetchWait;
-        mproc_->onCommit(*hi);
+        mproc_->commit(hi);
     }
-    panic_if(first, "run-grain handler with no instructions");
     span.done = monT_.lastCommit();
 
     // Busy-interval union for idle accounting (handlers pipeline, so
@@ -246,26 +228,10 @@ RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
         groupFree_ = std::max(groupFree_, h.done + 1);
 }
 
-bool
-RunGrainDriver::processOne()
-{
-    const Instruction *ip = appSrc_->fetchNext();
-    Instruction local;
-    if (!ip) {
-        if (!appSrc_->available())
-            return false;
-        local = appSrc_->fetch();
-        ip = &local;
-    }
-    processInst(*ip);
-    return true;
-}
-
 void
 RunGrainDriver::processInst(const Instruction &inst)
 {
-    bool monitored =
-        sys_.mon_ != nullptr && sys_.mon_->monitored(inst);
+    bool monitored = sys_.mon_->monitored(inst);
     unsigned lat = appCore_->runGrainExecLatency(inst);
     Cycle sinkGate = monitored ? eqGate() : 0;
     RunGrainThread::Retire r = appT_.retire(inst, lat, 0, sinkGate);
@@ -283,16 +249,11 @@ RunGrainDriver::processInst(const Instruction &inst)
     if (!monitored)
         return;
 
-    if (unaccel_) {
-        // The monitor process pops the raw EQ itself; its handler
-        // start is the modeled pop.
-        ++stats_.events;
-        HandlerSpan h = runHandler(r.committed);
-        recordEqPop(h.start);
-        return;
-    }
-    if (!stage_.empty())
-        processEvent(stage_.pop(), r.committed);
+    // The monitor process pops the raw EQ itself; its handler start is
+    // the modeled pop.
+    ++stats_.events;
+    HandlerSpan h = runHandler(r.committed);
+    recordEqPop(h.start);
 }
 
 void
@@ -365,32 +326,22 @@ RunGrainDriver::runUntil(std::uint64_t maxCycles,
     std::uint64_t ffBefore = stats_.cyclesFastForwarded;
     std::uint64_t stepBefore = stats_.cyclesStepped;
 
-    bool dry = false;
-    while (producer_->retired() < targetRetired && !dry) {
+    while (producer_->retired() < targetRetired) {
         // Catch-up: the modeled frontier already fills this window.
         if (appT_.lastCommit() >= end)
             break;
+        // One span per pass, clamped to the target (possibly shorter
+        // at a trace-block boundary); empty only when a replay ran dry.
         std::uint64_t want = targetRetired - producer_->retired();
-        std::size_t batch =
-            std::size_t(std::min<std::uint64_t>(want, kStageRun));
-        appSrc_->stageRun(batch);
-        if (spanPath_) {
-            // Span fast path: one span per batch (possibly shorter
-            // at a trace-block boundary — the outer loop re-stages).
-            InstSpan span = appSrc_->fetchSpan(batch);
-            if (!span.empty()) {
-                processSpan(span.data, span.count);
-                continue;
-            }
-        }
-        // Drain the whole batch: any staged instructions are consumed
-        // before control returns (stream edits such as injectBug()
-        // must never interleave with staged work).
-        for (std::size_t k = 0; k < batch; ++k) {
-            if (!processOne()) {
-                dry = true;
-                break;
-            }
+        InstSpan span = appSrc_->fetchSpan(
+            std::size_t(std::min<std::uint64_t>(want, kStageRun)));
+        if (span.empty())
+            break;
+        if (unaccel_) {
+            for (const Instruction &inst : span)
+                processInst(inst);
+        } else {
+            processSpan(span.data, span.count);
         }
     }
 

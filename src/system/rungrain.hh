@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "cpu/core.hh"
-#include "sim/queue.hh"
 #include "sim/ring.hh"
 #include "system/system.hh"
 #include "system/topology.hh"
@@ -94,12 +93,12 @@ class RunGrainDriver
 
     /**
      * Advance until @p maxCycles cycles are consumed or the producer
-     * has retired @p targetRetired instructions. Instruction
-     * processing is batched (kStageRun at a time, clamped to the
-     * remaining target so the source's staging ring is always drained
-     * on return); when the target is met the clock settles on the
-     * modeled commit frontier, which may overshoot the window by up to
-     * one batch (documented divergence from the per-cycle engines).
+     * has retired @p targetRetired instructions. Instructions are
+     * fetched and processed in spans of up to kStageRun, clamped to
+     * the remaining target, so nothing is fetched beyond it; when the
+     * target is met the clock settles on the modeled commit frontier,
+     * which may overshoot the window by up to one span (documented
+     * divergence from the per-cycle engines).
      * @return the number of simulated cycles consumed.
      */
     std::uint64_t runUntil(std::uint64_t maxCycles,
@@ -114,12 +113,12 @@ class RunGrainDriver
     const RunGrainDriverStats &stats() const { return stats_; }
 
   private:
-    /** Instructions staged/processed per batch. The batch size is
-     *  functionally and temporally invisible (staging is draw-for-draw
-     *  identical to on-demand synthesis and the timing recurrences are
-     *  per-instruction); it only sets span length and scratch sizing.
-     *  64 keeps the whole span working set (staged instructions,
-     *  verdicts, extracted events) L1-resident. */
+    /** Instructions fetched per span. The span size is functionally
+     *  and temporally invisible (no source produces an instruction
+     *  ahead of its consumption, and the timing recurrences are
+     *  per-instruction); it only sets scratch sizing. 64 keeps the
+     *  whole span working set (instructions, verdicts, extracted
+     *  events) L1-resident. */
     static constexpr std::size_t kStageRun = 64;
 
     /** Per-filter-unit modeled pipeline state (absolute cycles). */
@@ -140,25 +139,21 @@ class RunGrainDriver
         Cycle freeAt = 0;
     };
 
-    /** Process one application instruction end to end (timing
-     *  recurrence, event extraction, filtering, handler).
-     *  @return false when the source has no instruction. */
-    bool processOne();
-
-    /** The body of processOne() after the instruction is in hand
-     *  (shared by the fetch and span paths). */
+    /** Unaccelerated shards: process one application instruction end
+     *  to end (timing recurrence, event push into the real EQ, and the
+     *  monitor process's pop of it plus its handler). */
     void processInst(const Instruction &inst);
 
     /**
-     * Span fast path: process @p n staged instructions. Verdicts
-     * are decided for the whole span up front (monitoredSpan), events
-     * are extracted in bulk per same-tid segment (commitSpan into the
-     * flat event buffer), and the timing recurrences then run over the
-     * span with the events processed at their retire points — the
-     * exact interleaving the per-instruction path produces (eqGate()
-     * for a monitored instruction must see the modeled pops of every
-     * earlier event, and INV-RF thread switches must stay ordered
-     * against event processing, hence the tid segmentation).
+     * Accelerated, perfect-consumer and unmonitored shards: process a
+     * span of @p n fetched instructions. Verdicts are decided for the
+     * whole span up front (monitoredSpan), events are extracted in
+     * bulk per same-tid segment (commitSpan into the flat event
+     * buffer), and the timing recurrences then run over the span with
+     * each event processed at its retire point (eqGate() for a
+     * monitored instruction must see the modeled pops of every earlier
+     * event, and INV-RF thread switches must stay ordered against
+     * event processing, hence the tid segmentation).
      */
     void processSpan(const Instruction *insts, std::size_t n);
 
@@ -197,11 +192,6 @@ class RunGrainDriver
     MonitorProcess *mproc_;
     InstSource *appSrc_;
 
-    /** Span fast path usable: enabled in the config and the shard
-     *  shape lets events be extracted in bulk (accelerated / perfect /
-     *  unmonitored; the unaccelerated monitor process pops the real EQ
-     *  per retirement, so it stays on the per-instruction path). */
-    bool spanPath_ = false;
     bool perfect_ = false;
     /** Monitor process consumes the raw EQ (unaccelerated). */
     bool unaccel_ = false;
@@ -212,11 +202,6 @@ class RunGrainDriver
 
     RunGrainThread appT_;
     RunGrainThread monT_;
-
-    /** Private staging slot the producer is rebound to (accelerated /
-     *  perfect-consumer): drained after every retirement, so the
-     *  architectural EQ statistics are driven from modeled time. */
-    BoundedQueue<MonEvent> stage_;
 
     /** Modeled EQ: pop times of events still queued in modeled time. */
     RingDeque<Cycle> eqPending_;

@@ -281,7 +281,7 @@ MonitoringSystem::retired() const
 bool
 MonitoringSystem::replayExhausted() const
 {
-    return replay_ && !replay_->available() && appCore_->drained();
+    return replay_ && replay_->remaining() == 0 && appCore_->drained();
 }
 
 std::uint64_t

@@ -95,15 +95,6 @@ struct SystemConfig
      *  engine-invariant). */
     Engine engine = Engine::PerCycle;
     /**
-     * Run-grain span fast path: consume staged instruction spans
-     * (InstSource::fetchSpan) with bulk event extraction
-     * (EventProducer::commitSpan) instead of per-instruction
-     * round-trips. Results are bit-identical either way (enforced by
-     * tests/test_spanpath.cc); false forces the per-instruction path,
-     * which unaccelerated shards take regardless.
-     */
-    bool spanFastPath = true;
-    /**
      * Filter units behind this shard's event queue (FadeGroup,
      * system/topology.hh). 1 = the classic single-FADE shard,
      * unchanged bit for bit; > 1 adds round-robin event steering

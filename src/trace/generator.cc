@@ -121,8 +121,8 @@ TraceGenerator::TraceGenerator(const BenchProfile &profile)
         }
     };
     auto mixChain = [](const InstMix &m) {
-        // The exact double-arithmetic cascade of fetch(), preserved
-        // operation for operation.
+        // The reference double-arithmetic instruction-mix cascade,
+        // preserved operation for operation.
         return [&m](std::uint32_t x) -> unsigned {
             double u = x * (1.0 / 4294967296.0);
             if ((u -= m.load) < 0)
@@ -928,57 +928,20 @@ TraceGenerator::injectBug(TruthBits kind)
     }
 }
 
-Instruction
-TraceGenerator::fetch()
+InstSpan
+TraceGenerator::fetchSpan(std::size_t max)
 {
-    if (stagedHead_ != staged_.size()) {
-        // Already counted into emitted_ at synthesis time (stageRun).
-        return staged_[stagedHead_++];
-    }
-    return synthOne();
-}
-
-std::size_t
-TraceGenerator::stageRun(std::size_t n)
-{
-    // Block synthesis into the flat staging array. Identical draw
-    // order to n on-demand synthOne() calls: the pending-splice drain
-    // and the fresh-synthesis calls interleave exactly as the
-    // per-instruction path would (pending_ is checked before every
-    // fresh synthesis, and fresh synthesis may refill it).
-    if (stagedHead_ == staged_.size()) {
-        staged_.clear();
-        stagedHead_ = 0;
-    }
-    staged_.reserve(staged_.size() + n);
-    std::size_t k = 0;
-    while (k < n) {
-        while (k < n && !pending_.empty()) {
-            ++emitted_;
-            staged_.push_back(pending_.front());
-            pending_.pop_front();
-            ++k;
-        }
-        if (k == n)
-            break;
+    span_.clear();
+    while (span_.size() < max) {
         ++emitted_;
-        staged_.push_back(synthFresh());
-        ++k;
+        if (!pending_.empty()) {
+            span_.push_back(pending_.front());
+            pending_.pop_front();
+        } else {
+            span_.push_back(synthFresh());
+        }
     }
-    return n;
-}
-
-Instruction
-TraceGenerator::synthOne()
-{
-    ++emitted_;
-
-    if (!pending_.empty()) {
-        Instruction i = pending_.front();
-        pending_.pop_front();
-        return i;
-    }
-    return synthFresh();
+    return {span_.data(), span_.size()};
 }
 
 Instruction

@@ -40,63 +40,22 @@ class TraceGenerator : public InstSource
   public:
     explicit TraceGenerator(const BenchProfile &profile);
 
-    bool available() override { return true; }
-    Instruction fetch() override;
+    /** The stream never runs dry: the next fetchSpan(n) serves all
+     *  n. Nothing is synthesized here. */
+    std::size_t stageRun(std::size_t n) override { return n; }
 
     /**
-     * Run-replay fast path (cpu/source.hh): staged and pending
-     * instructions (pre-synthesized runs, allocator bookkeeping, init
-     * stores, spills) are handed out in place — the core copies
-     * straight into its ROB slot with no intermediate copy.
-     * Bit-identical to fetch(); a nullptr falls back to fetch() for
-     * on-demand generation.
+     * Synthesize the next @p max instructions into the span buffer,
+     * each counted into emitted_ as it is produced: a pending splice
+     * (allocator bookkeeping, init stores, spills, injected bugs) is
+     * served before any fresh synthesis, and fresh synthesis may queue
+     * new splices. This is the only synthesis loop, so the stream is
+     * the same whatever span sizes the consumer asks for.
      */
-    const Instruction *
-    fetchNext() override
-    {
-        if (stagedHead_ != staged_.size()) {
-            // Counted into emitted_ when synthesized (stageRun).
-            return &staged_[stagedHead_++];
-        }
-        if (pending_.empty())
-            return nullptr;
-        ++emitted_;
-        const Instruction *i = &pending_.front();
-        pending_.pop_front();
-        return i;
-    }
+    InstSpan fetchSpan(std::size_t max) override;
 
-    /**
-     * Bulk generalization of fetchNext(): the staged block is a flat
-     * array, so a whole run of staged instructions is consumed as one
-     * contiguous span (valid until the next stage/fetch call). Only
-     * staged instructions are spanned; pending splices still go
-     * through fetchNext() so their emitted_ accounting is per-draw.
-     */
-    InstSpan
-    fetchSpan(std::size_t max) override
-    {
-        std::size_t n = std::min(max, staged_.size() - stagedHead_);
-        InstSpan s{staged_.data() + stagedHead_, n};
-        stagedHead_ += n;
-        return s;
-    }
-
-    /**
-     * Pre-synthesize the next @p n instructions of the stream into the
-     * staging ring, to be served by fetchNext()/fetch() before any
-     * on-demand synthesis. The staged instructions are produced by the
-     * exact fetch() path — same RNG draw order, same emitted_
-     * accounting, same pending-queue handling — so the consumed stream
-     * is bit-identical to unstaged generation. Callers must drain the
-     * stage before any injectBug() call: a bug splices at the synthesis
-     * point, which staging moves ahead of consumption (the run-grain
-     * driver stages only what it consumes within one batch).
-     * @return the number of instructions staged (always @p n here).
-     */
-    std::size_t stageRun(std::size_t n) override;
-
-    /** Splice an injected bug into the upcoming stream. */
+    /** Splice an injected bug into the upcoming stream: the next
+     *  fetchSpan() serves it ahead of fresh synthesis. */
     void injectBug(TruthBits kind);
 
     /** Startup memory ranges for Monitor::initShadow. */
@@ -327,19 +286,13 @@ class TraceGenerator : public InstSource
 
     void eraseWordRange(Addr base, std::uint64_t lenBytes);
 
-    /** One synthesized instruction: the former fetch() body (the
-     *  pending-queue branch plus on-demand synthesis). */
-    Instruction synthOne();
     /** On-demand synthesis of one fresh instruction; the caller has
      *  already counted emitted_ and drained pending_. */
     Instruction synthFresh();
 
     RingDeque<Instruction> pending_;
-    /** Flat staged block (stageRun), served before pending_; a vector
-     *  plus head index rather than a ring so fetchSpan() can hand out
-     *  contiguous runs. Compacted whenever fully drained. */
-    std::vector<Instruction> staged_;
-    std::size_t stagedHead_ = 0;
+    /** The span fetchSpan() hands out (valid until its next call). */
+    std::vector<Instruction> span_;
     std::uint64_t emitted_ = 0;
     std::uint64_t seqTick_ = 0;
 
@@ -350,7 +303,7 @@ class TraceGenerator : public InstSource
 };
 
 // The helpers below run for (nearly) every generated instruction; they
-// live in the header so the fetch() fast path compiles into straight
+// live in the header so the synthesis loop compiles into straight
 // code instead of a chain of per-instruction calls. Their RNG draw
 // sequences are part of the determinism contract — do not reorder.
 

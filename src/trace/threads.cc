@@ -259,49 +259,28 @@ ThreadedSource::filler(Hosted &h)
     return i;
 }
 
-Instruction
-ThreadedSource::fetch()
+InstSpan
+ThreadedSource::fetchSpan(std::size_t max)
 {
-    if (stagedHead_ != staged_.size())
-        return staged_[stagedHead_++];
-    return synthOne();
-}
-
-std::size_t
-ThreadedSource::stageRun(std::size_t n)
-{
-    if (stagedHead_ == staged_.size()) {
-        staged_.clear();
-        stagedHead_ = 0;
+    span_.clear();
+    while (span_.size() < max) {
+        Hosted &h = hosted_[cur_];
+        if (h.gapLeft > 0) {
+            --h.gapLeft;
+            span_.push_back(filler(h));
+        } else if (h.step < h.script.size()) {
+            span_.push_back(h.script[h.step].inst);
+            if (++h.step < h.script.size())
+                h.gapLeft = h.script[h.step].gap;
+        } else {
+            span_.push_back(filler(h));
+        }
+        if (--left_ == 0) {
+            left_ = quantum_;
+            cur_ = (cur_ + 1) % hosted_.size();
+        }
     }
-    staged_.reserve(staged_.size() + n);
-    for (std::size_t k = 0; k < n; ++k)
-        staged_.push_back(synthOne());
-    return n;
-}
-
-Instruction
-ThreadedSource::synthOne()
-{
-    Hosted &h = hosted_[cur_];
-    Instruction i;
-    if (h.gapLeft > 0) {
-        --h.gapLeft;
-        i = filler(h);
-    } else if (h.step < h.script.size()) {
-        i = h.script[h.step].inst;
-        ++h.step;
-        if (h.step < h.script.size())
-            h.gapLeft = h.script[h.step].gap;
-    } else {
-        i = filler(h);
-    }
-
-    if (--left_ == 0) {
-        left_ = quantum_;
-        cur_ = (cur_ + 1) % hosted_.size();
-    }
-    return i;
+    return {span_.data(), span_.size()};
 }
 
 } // namespace fade

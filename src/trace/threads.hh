@@ -21,7 +21,6 @@
 #ifndef FADE_TRACE_THREADS_HH
 #define FADE_TRACE_THREADS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -96,34 +95,12 @@ class ThreadedSource : public InstSource
   public:
     explicit ThreadedSource(const BenchProfile &p);
 
-    bool available() override { return true; }
-    Instruction fetch() override;
+    /** Never runs dry: the next fetchSpan(n) serves all n. */
+    std::size_t stageRun(std::size_t n) override { return n; }
 
-    /**
-     * Run-replay fast path (cpu/source.hh): staged instructions are
-     * handed out in place, bit-identical to fetch() — staging calls
-     * the exact fetch() synthesis (same per-thread RNG draw order,
-     * same quantum rotation).
-     */
-    const Instruction *
-    fetchNext() override
-    {
-        if (stagedHead_ == staged_.size())
-            return nullptr;
-        return &staged_[stagedHead_++];
-    }
-    std::size_t stageRun(std::size_t n) override;
-
-    /** Bulk fetchNext(): consume staged instructions as one
-     *  contiguous span (valid until the next stage/fetch call). */
-    InstSpan
-    fetchSpan(std::size_t max) override
-    {
-        std::size_t n = std::min(max, staged_.size() - stagedHead_);
-        InstSpan s{staged_.data() + stagedHead_, n};
-        stagedHead_ += n;
-        return s;
-    }
+    /** Synthesize the next @p max instructions (round-robin quanta
+     *  over the hosted threads) into the span buffer. */
+    InstSpan fetchSpan(std::size_t max) override;
 
     const WorkloadLayout &layout() const { return layout_; }
 
@@ -142,13 +119,10 @@ class ThreadedSource : public InstSource
     };
 
     Instruction filler(Hosted &h);
-    /** One synthesized instruction (the round-robin fetch() body). */
-    Instruction synthOne();
 
     std::vector<Hosted> hosted_;
-    /** Flat staged block (stageRun); see TraceGenerator::staged_. */
-    std::vector<Instruction> staged_;
-    std::size_t stagedHead_ = 0;
+    /** The span fetchSpan() hands out (valid until its next call). */
+    std::vector<Instruction> span_;
     std::size_t cur_ = 0;
     unsigned quantum_ = 64;
     unsigned left_ = 64;

@@ -588,22 +588,11 @@ TraceReader::Cursor::loadBlock()
 bool
 TraceReader::Cursor::next(Instruction &out)
 {
-    const Instruction *p = nextRef();
-    if (!p)
+    InstSpan s = run(1);
+    if (s.empty())
         return false;
-    out = *p;
+    out = *s.data;
     return true;
-}
-
-const Instruction *
-TraceReader::Cursor::nextRef()
-{
-    if (remaining_ == 0)
-        return nullptr;
-    while (i_ == recs_.size())
-        loadBlock();
-    --remaining_;
-    return &recs_[i_++];
 }
 
 InstSpan
@@ -628,34 +617,6 @@ TraceReader::Cursor::prepare(std::size_t n)
     while (i_ == recs_.size())
         loadBlock();
     return std::min(n, recs_.size() - i_);
-}
-
-//
-// ReplaySource
-//
-
-ReplaySource::ReplaySource(const TraceReader &reader, unsigned stream)
-    : cursor_(reader.cursor(stream)), stream_(stream)
-{
-}
-
-const Instruction *
-ReplaySource::fetchNext()
-{
-    const Instruction *p = cursor_.nextRef();
-    if (p)
-        ++consumed_;
-    return p;
-}
-
-Instruction
-ReplaySource::fetch()
-{
-    const Instruction *i = fetchNext();
-    panic_if(!i, "replay stream ", stream_, " exhausted after ", consumed_,
-             " records; the run demands more instructions than were "
-             "captured (config mismatch?)");
-    return *i;
 }
 
 } // namespace fade

@@ -240,11 +240,6 @@ class TraceReader
          *  @return false at end of stream. */
         bool next(Instruction &out);
 
-        /** Consume the next record by reference: a pointer into the
-         *  decoded block, valid until the block is drained and another
-         *  record is requested. nullptr at end of stream. */
-        const Instruction *nextRef();
-
         /** Consume up to @p max records as one contiguous span of the
          *  decoded block (block-decode fast path: no per-record copy).
          *  Spans never cross block boundaries; empty at end of
@@ -294,34 +289,25 @@ class TraceReader
 };
 
 /**
- * Replays one captured stream as the application core's InstSource.
- * Every record is served through the run-replay fast path (fetchNext),
- * which the core treats exactly like an available()/fetch() round trip
- * (cpu/source.hh), so replay timing is bit-identical to the live
- * generator's. At end of stream the source reports unavailable; a
- * fetch past the end is a panic with the stream position (it means the
- * run was driven further than the capture, i.e. a config mismatch).
+ * Replays one captured stream as the application core's InstSource,
+ * serving contiguous runs of decoded records straight from the block
+ * buffer, so replay timing is bit-identical to the live generator's.
+ * At end of stream both calls report nothing; a run driven further
+ * than the capture surfaces as MonitoringSystem::replayExhausted().
  */
 class ReplaySource : public InstSource
 {
   public:
-    ReplaySource(const TraceReader &reader, unsigned stream);
+    ReplaySource(const TraceReader &reader, unsigned stream)
+        : cursor_(reader.cursor(stream))
+    {}
 
-    bool available() override { return cursor_.remaining() != 0; }
-    Instruction fetch() override;
-    const Instruction *fetchNext() override;
-
-    /** Records are pre-decoded per block; staging just makes sure the
-     *  next block is decoded (a hint — the consumed stream is
-     *  identical either way). */
     std::size_t
     stageRun(std::size_t n) override
     {
         return cursor_.prepare(n);
     }
 
-    /** Bulk fetchNext(): serve a contiguous run of decoded records
-     *  straight from the block buffer, no per-record copy. */
     InstSpan
     fetchSpan(std::size_t max) override
     {
@@ -336,16 +322,15 @@ class ReplaySource : public InstSource
 
   private:
     TraceReader::Cursor cursor_;
-    unsigned stream_;
     std::uint64_t consumed_ = 0;
 };
 
 /**
- * Tees a live InstSource to a trace writer without perturbing it: every
- * call forwards to the inner source (same call sequence, same RNG draw
- * order) and every fetched instruction is appended to the stream. The
- * monitoring system interposes this between the generator and the app
- * core when capture is enabled.
+ * Tees a live InstSource to a trace writer without perturbing it: both
+ * calls forward to the inner source (same call sequence, same RNG draw
+ * order) and every fetched span is appended to the stream, so capture
+ * order is consumption order. The monitoring system interposes this
+ * between the generator and the app core when capture is enabled.
  */
 class CaptureSource : public InstSource
 {
@@ -354,28 +339,6 @@ class CaptureSource : public InstSource
         : inner_(inner), writer_(writer), stream_(stream)
     {}
 
-    bool available() override { return inner_.available(); }
-
-    Instruction
-    fetch() override
-    {
-        Instruction i = inner_.fetch();
-        writer_.append(stream_, i);
-        return i;
-    }
-
-    const Instruction *
-    fetchNext() override
-    {
-        const Instruction *i = inner_.fetchNext();
-        if (i)
-            writer_.append(stream_, *i);
-        return i;
-    }
-
-    /** Staging happens in the inner source; the tee appends records at
-     *  consumption time (fetch/fetchNext/fetchSpan), so capture order
-     *  is unaffected. */
     std::size_t stageRun(std::size_t n) override
     {
         return inner_.stageRun(n);
@@ -385,8 +348,8 @@ class CaptureSource : public InstSource
     fetchSpan(std::size_t max) override
     {
         InstSpan s = inner_.fetchSpan(max);
-        for (std::size_t i = 0; i < s.count; ++i)
-            writer_.append(stream_, s.data[i]);
+        for (const Instruction &i : s)
+            writer_.append(stream_, i);
         return s;
     }
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "cpu/core.hh"
+#include "testutil.hh"
 #include "trace/generator.hh"
 
 namespace fade
@@ -19,8 +21,19 @@ class ListSource : public InstSource
   public:
     explicit ListSource(std::vector<Instruction> v) : v_(std::move(v)) {}
 
-    bool available() override { return i_ < v_.size(); }
-    Instruction fetch() override { return v_[i_++]; }
+    std::size_t
+    stageRun(std::size_t n) override
+    {
+        return std::min(n, v_.size() - i_);
+    }
+
+    InstSpan
+    fetchSpan(std::size_t max) override
+    {
+        InstSpan s{v_.data() + i_, stageRun(max)};
+        i_ += s.count;
+        return s;
+    }
 
   private:
     std::vector<Instruction> v_;
@@ -32,12 +45,13 @@ class CountSink : public CommitSink
 {
   public:
     bool
-    canCommit(const Instruction &) override
+    commit(const Instruction &) override
     {
-        return !blocked;
+        if (blocked)
+            return false;
+        ++committed;
+        return true;
     }
-
-    void onCommit(const Instruction &) override { ++committed; }
 
     bool blocked = false;
     std::uint64_t committed = 0;
@@ -252,8 +266,8 @@ TEST(TraceGen, DeterministicStreams)
     BenchProfile p = specProfile("hmmer");
     TraceGenerator a(p), b(p);
     for (int i = 0; i < 20000; ++i) {
-        Instruction x = a.fetch();
-        Instruction y = b.fetch();
+        Instruction x = test::fetchOne(a);
+        Instruction y = test::fetchOne(b);
         ASSERT_EQ(x.pc, y.pc);
         ASSERT_EQ(int(x.cls), int(y.cls));
         ASSERT_EQ(x.memAddr, y.memAddr);
@@ -267,7 +281,7 @@ TEST(TraceGen, AddressesStayInRegions)
         BenchProfile p = specProfile(name);
         TraceGenerator g(p);
         for (int i = 0; i < 30000; ++i) {
-            Instruction inst = g.fetch();
+            Instruction inst = test::fetchOne(g);
             if (!inst.isMemRef())
                 continue;
             bool ok = isStackAddr(inst.memAddr) ||
@@ -285,7 +299,7 @@ TEST(TraceGen, CallReturnWellNested)
     TraceGenerator g(p);
     std::vector<std::pair<Addr, std::uint32_t>> frames;
     for (int i = 0; i < 100000; ++i) {
-        Instruction inst = g.fetch();
+        Instruction inst = test::fetchOne(g);
         if (inst.cls == InstClass::Call) {
             frames.push_back({inst.frameBase, inst.frameBytes});
         } else if (inst.cls == InstClass::Return) {
@@ -307,7 +321,7 @@ TEST(TraceGen, MallocFreeBalance)
     std::set<Addr> live;
     int mallocs = 0, frees = 0;
     for (int i = 0; i < 200000; ++i) {
-        Instruction inst = g.fetch();
+        Instruction inst = test::fetchOne(g);
         if (inst.cls != InstClass::HighLevel)
             continue;
         if (inst.hlKind == EventKind::Malloc) {
@@ -333,7 +347,7 @@ TEST(TraceGen, ThreadsTimeSliced)
     ThreadId last = 255;
     int switches = 0;
     for (int i = 0; i < 100000; ++i) {
-        Instruction inst = g.fetch();
+        Instruction inst = test::fetchOne(g);
         seen.insert(inst.tid);
         if (inst.tid != last && last != 255)
             ++switches;
@@ -350,7 +364,7 @@ TEST(TraceGen, MixRoughlyMatchesProfile)
     TraceGenerator g(p);
     std::uint64_t loads = 0, total = 200000;
     for (std::uint64_t i = 0; i < total; ++i)
-        loads += g.fetch().cls == InstClass::Load;
+        loads += test::fetchOne(g).cls == InstClass::Load;
     double f = double(loads) / total;
     // Blend of high/low phase load fractions plus pendings.
     EXPECT_GT(f, 0.15);
@@ -362,13 +376,13 @@ TEST(TraceGen, InjectedBugsCarryTruthBits)
     BenchProfile p = specProfile("astar");
     TraceGenerator g(p);
     for (int i = 0; i < 1000; ++i)
-        g.fetch();
+        test::fetchOne(g);
     g.injectBug(truthAccessUnallocated);
     g.injectBug(truthTaintedJump);
     g.injectBug(truthLeakDrop);
     std::uint8_t seen = 0;
     for (int i = 0; i < 2000; ++i)
-        seen |= g.fetch().truth;
+        seen |= test::fetchOne(g).truth;
     EXPECT_TRUE(seen & truthAccessUnallocated);
     EXPECT_TRUE(seen & truthTaintedJump);
     EXPECT_TRUE(seen & truthLeakDrop);
@@ -381,7 +395,7 @@ TEST(TraceGen, PointerTruthIsSelfConsistent)
     BenchProfile p = specProfile("gcc");
     TraceGenerator g(p);
     for (int i = 0; i < 100000; ++i) {
-        Instruction inst = g.fetch();
+        Instruction inst = test::fetchOne(g);
         if (inst.cls == InstClass::Load && inst.hasDst) {
             bool slotPtr = g.wordIsPtr(inst.memAddr);
             ASSERT_EQ(g.regIsPtr(inst.tid, inst.dst), slotPtr);
@@ -413,14 +427,17 @@ TEST_P(TraceProfileSweep, StreamsAreWellFormed)
         parallel ? parallelProfile(GetParam()) : specProfile(GetParam());
     TraceGenerator g(p);
     for (int i = 0; i < 30000; ++i) {
-        Instruction inst = g.fetch();
+        Instruction inst = test::fetchOne(g);
         ASSERT_LT(int(inst.cls), int(InstClass::NumClasses));
-        if (inst.hasDst)
+        if (inst.hasDst) {
             ASSERT_LT(inst.dst, numArchRegs);
-        if (inst.numSrc >= 1)
+        }
+        if (inst.numSrc >= 1) {
             ASSERT_LT(inst.src1, numArchRegs);
-        if (inst.isMemRef())
+        }
+        if (inst.isMemRef()) {
             ASSERT_EQ(inst.memAddr % 4, 0u) << "word aligned";
+        }
         if (inst.isStackUpdate()) {
             ASSERT_GT(inst.frameBytes, 0u);
             ASSERT_TRUE(isStackAddr(inst.frameBase));

@@ -200,8 +200,8 @@ rewriteManifest(const std::string &from, const std::string &to,
         w.addStream(r.stream(s));
     for (unsigned s = 0; s < r.numStreams(); ++s) {
         ReplaySource src(r, s);
-        while (src.available())
-            w.append(s, src.fetch());
+        while (src.stageRun(1) != 0)
+            w.append(s, test::fetchOne(src));
     }
     TraceManifest m = r.manifest();
     edit(m);

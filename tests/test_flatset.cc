@@ -22,6 +22,7 @@
 #include "sim/random.hh"
 #include "sim/ring.hh"
 #include "sim/wordset.hh"
+#include "testutil.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 
@@ -325,7 +326,7 @@ TEST_P(GeneratorOracleSweep, OracleCoherentAndKeysAlignedWithBugs)
             g.injectBug(truthLeakDrop);
             g.injectBug(truthTaintedJump);
         }
-        Instruction inst = g.fetch();
+        Instruction inst = test::fetchOne(g);
         truthSeen |= inst.truth;
         // The spliced instructions (and their helper loads) bypass
         // noteWrite by design; give the splice a drain window before

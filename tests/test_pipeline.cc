@@ -29,6 +29,7 @@
 #include "system/multicore.hh"
 #include "system/rungrain.hh"
 #include "trace/profile.hh"
+#include "trace/tracefile.hh"
 
 namespace fade
 {
@@ -393,6 +394,97 @@ TEST(RunGrainEngine, DriverAccountingIsSane)
               0u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.appInstructions, 0u);
+}
+
+TEST(Engines, GoldenShapeFingerprints)
+{
+    // Both engines on every system shape, pinned to constants: the
+    // run-grain rows are the only check that ties its modeled timing
+    // to fixed values, and the per-cycle rows extend the flat goldens
+    // (Topology.GoldenFlatFingerprints) beyond the default SMT shape.
+    // Each row runs two shards, injects a bug into both between two
+    // measured slices (so stream edits land mid-run on either engine),
+    // and hashes both slices' result fingerprints. The constants were
+    // captured before the instruction sources were folded onto
+    // stageRun/fetchSpan/commit; any drift in any simulated value of
+    // any shape trips its row.
+    struct Shape
+    {
+        const char *name;
+        const char *monitor;
+        void (*apply)(SystemConfig &);
+        std::uint64_t perCycle;
+        std::uint64_t runGrain;
+    };
+    const Shape shapes[] = {
+        {"smt", "AddrCheck", nullptr, 0x215694C4AA593214ULL,
+         0x25619C3D62F2CB44ULL},
+        {"twoCore", "AddrCheck", [](SystemConfig &c) { c.twoCore = true; },
+         0xAD6D9F2327C0BC95ULL, 0x6115A62C0BACF6D1ULL},
+        {"unacceleratedSmt", "AddrCheck",
+         [](SystemConfig &c) { c.accelerated = false; },
+         0x5F272255E1421CF2ULL, 0x419D042557D74A3CULL},
+        {"unacceleratedTwoCore", "AddrCheck",
+         [](SystemConfig &c) {
+             c.accelerated = false;
+             c.twoCore = true;
+         },
+         0x0D3BB9571307486CULL, 0xC406CD6BF16A1026ULL},
+        {"perfectConsumer", "AddrCheck",
+         [](SystemConfig &c) { c.perfectConsumer = true; },
+         0x9F5978D39FBAD016ULL, 0x0A2DFDE595A5EA5AULL},
+        {"blockingFade", "AddrCheck",
+         [](SystemConfig &c) { c.fade.nonBlocking = false; },
+         0x656377245C57793CULL, 0x75B4AF1E331B1567ULL},
+        {"twoFadesPerShard", "AddrCheck",
+         [](SystemConfig &c) { c.fadesPerShard = 2; },
+         0xC700B946CB441A16ULL, 0x55F1307C3BF23551ULL},
+        {"inOrderCore", "AddrCheck",
+         [](SystemConfig &c) { c.core = inOrderParams(); },
+         0x289DDE7B00C5D5C1ULL, 0x8851568E04D41AD6ULL},
+        {"unmonitored", "", nullptr, 0xC3565083CE333DB6ULL,
+         0x47DCA5BA41DB5115ULL},
+    };
+    for (const Shape &s : shapes) {
+        for (Engine eng : {Engine::PerCycle, Engine::RunGrain}) {
+            SCOPED_TRACE(testing::Message() << s.name << "/"
+                                            << engineName(eng));
+            MultiCoreConfig cfg;
+            cfg.numShards = 2;
+            cfg.engine = eng;
+            cfg.monitor = s.monitor;
+            cfg.workloads = {specProfile("astar"), specProfile("gcc")};
+            if (s.apply)
+                s.apply(cfg.shard);
+            MultiCoreSystem sys(cfg);
+            if (cfg.shard.fadesPerShard == 2) {
+                for (unsigned i = 0; i < sys.numShards(); ++i)
+                    ASSERT_EQ(sys.shard(i).fadeGroup()->size(), 2u);
+            }
+            sys.warmup(kWarm);
+            MultiCoreResult first = sys.run(kRun);
+            std::vector<std::uint64_t> fp = resultFingerprint(sys, first);
+            for (unsigned i = 0; i < sys.numShards(); ++i)
+                sys.shard(i).generator().injectBug(truthAccessUnallocated);
+            MultiCoreResult second = sys.run(kRun);
+            std::vector<std::uint64_t> fp2 = resultFingerprint(sys, second);
+            fp.insert(fp.end(), fp2.begin(), fp2.end());
+            // Non-vacuous: every monitored row sees events, and every
+            // row with a software consumer reports the injected bug.
+            if (*s.monitor) {
+                EXPECT_GT(second.totalEvents, 0u);
+                if (!cfg.shard.perfectConsumer) {
+                    EXPECT_GT(sys.monitor(0)->reports().size() +
+                                  sys.monitor(1)->reports().size(),
+                              0u);
+                }
+            }
+            std::uint64_t want =
+                eng == Engine::PerCycle ? s.perCycle : s.runGrain;
+            EXPECT_EQ(fingerprintHash(fp), want)
+                << std::hex << "0x" << fingerprintHash(fp);
+        }
+    }
 }
 
 } // namespace fade

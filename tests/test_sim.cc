@@ -260,8 +260,9 @@ TEST_P(QueueCapacitySweep, PushPopInvariants)
             q.pop();
             ++popped;
         }
-        if (cap)
+        if (cap) {
             ASSERT_LE(q.size(), cap);
+        }
         ASSERT_EQ(q.size(), std::size_t(pushed - popped));
     }
     EXPECT_EQ(q.pushes(), std::uint64_t(pushed));
@@ -415,8 +416,9 @@ TEST(BoundedQueue, BulkAndScalarInterleaveLikeAFifo)
             model.erase(model.begin(), model.begin() + k);
         }
         ASSERT_EQ(q.size(), model.size());
-        if (!model.empty())
+        if (!model.empty()) {
             ASSERT_EQ(q.front(), model.front());
+        }
     }
 }
 

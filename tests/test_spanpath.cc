@@ -1,41 +1,41 @@
 /**
  * @file
- * Span fast-path differential tests (the PR 4 bit-identity
- * discipline applied to batched synthesis and bulk extraction).
+ * Span-protocol differential tests.
  *
- * The batched functional fast path — TraceGenerator::stageRun block
- * synthesis served through InstSource::fetchSpan, the span protocol on
- * ThreadedSource / CaptureSource / ReplaySource, and the run-grain
- * driver's bulk event extraction — is only legal because every staged
- * or bulk-consumed stream is instruction-for-instruction and
- * draw-for-draw identical to on-demand generation. This suite pins
- * that contract:
+ * Instruction sources hand out spans (InstSource::stageRun/fetchSpan),
+ * the per-cycle core dispatches spans of one, and the run-grain driver
+ * consumes whole spans with bulk event extraction. That is only legal
+ * because span size is invisible to every stream: no source produces
+ * an instruction ahead of its consumption. This suite pins that
+ * contract:
  *
- *  - batch-synthesized streams equal on-demand streams for every
- *    modelled profile, across stage sizes (including size 1 and sizes
- *    that straddle the staging array), with consumption interleaving
- *    fetch(), fetchNext() and fetchSpan() arbitrarily;
- *  - injectBug() splices at stage boundaries land at the same stream
- *    position as in on-demand generation;
- *  - ThreadedSource spans reproduce its round-robin fetch() stream;
+ *  - span-synthesized streams equal one-at-a-time streams for every
+ *    modelled profile, across span sizes (including 1 and sizes past
+ *    the run-grain driver's 64), with random span sizes interleaved
+ *    with stageRun() probes;
+ *  - injectBug() between spans lands at the same stream position as
+ *    in one-at-a-time generation;
+ *  - ThreadedSource spans reproduce its one-at-a-time round-robin
+ *    stream;
  *  - capture through the span tee and replay through block-decoded
  *    spans reproduce the live stream record for record;
- *  - the run-grain engine produces identical result fingerprints
- *    (functional AND modeled-timing values) with the span path forced
- *    off (SystemConfig::spanFastPath), i.e. the fast path is invisible
- *    to every simulated value.
+ *  - bulk event extraction (EventProducer::commitSpan) emits exactly
+ *    the events per-instruction commitDecided() does, event for event.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cpu/source.hh"
+#include "monitor/factory.hh"
+#include "sim/queue.hh"
 #include "sim/random.hh"
-#include "system/multicore.hh"
+#include "system/producer.hh"
 #include "testutil.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
@@ -63,7 +63,7 @@ sameInst(const Instruction &a, const Instruction &b)
 }
 
 /** Drain @p n instructions via stageRun + fetchSpan in @p stage-sized
- *  batches, comparing against @p ref served on demand. */
+ *  spans, comparing against @p ref served one at a time. */
 void
 expectSpansMatchOnDemand(InstSource &batch, InstSource &ref,
                          std::uint64_t n, std::size_t stage)
@@ -78,7 +78,7 @@ expectSpansMatchOnDemand(InstSource &batch, InstSource &ref,
             InstSpan s = batch.fetchSpan(want - got);
             ASSERT_FALSE(s.empty());
             for (std::size_t i = 0; i < s.count; ++i) {
-                Instruction want_i = ref.fetch();
+                Instruction want_i = test::fetchOne(ref);
                 ASSERT_TRUE(sameInst(s.data[i], want_i))
                     << "diverged at instruction " << (seen + got + i)
                     << " (stage size " << stage << ")";
@@ -107,9 +107,9 @@ class SpanPathProfileSweep
 
 } // namespace
 
-/** Batch synthesis == on-demand synthesis for every profile, across
- *  stage sizes that cover the degenerate (1), sub-batch, driver (64)
- *  and multi-block shapes. */
+/** Span synthesis == one-at-a-time synthesis for every profile, across
+ *  span sizes that cover the degenerate (1), short, driver (64) and
+ *  long shapes. */
 TEST_P(SpanPathProfileSweep, BatchSynthesisMatchesOnDemand)
 {
     for (std::size_t stage : {std::size_t(1), std::size_t(7),
@@ -120,8 +120,9 @@ TEST_P(SpanPathProfileSweep, BatchSynthesisMatchesOnDemand)
     }
 }
 
-/** Consumption may interleave fetch(), fetchNext() and fetchSpan()
- *  against the same staged stream without perturbing it. */
+/** Random span sizes interleaved with stageRun() probes consume the
+ *  same stream, with the same emitted() count, as one-at-a-time
+ *  fetches: a probe never produces an instruction. */
 TEST_P(SpanPathProfileSweep, MixedConsumptionMatchesOnDemand)
 {
     TraceGenerator batch(profile());
@@ -129,35 +130,17 @@ TEST_P(SpanPathProfileSweep, MixedConsumptionMatchesOnDemand)
     Rng rng(0xc0ffee);
     std::uint64_t seen = 0;
     while (seen < 20000) {
-        std::size_t want = 1 + rng.range(96);
-        ASSERT_EQ(batch.stageRun(want), want);
-        std::size_t got = 0;
-        while (got < want) {
-            switch (rng.range(3)) {
-              case 0: {
-                Instruction i = batch.fetch();
-                ASSERT_TRUE(sameInst(i, ref.fetch()));
-                ++got;
-                break;
-              }
-              case 1: {
-                const Instruction *i = batch.fetchNext();
-                ASSERT_NE(i, nullptr);
-                ASSERT_TRUE(sameInst(*i, ref.fetch()));
-                ++got;
-                break;
-              }
-              default: {
-                InstSpan s = batch.fetchSpan(1 + rng.range(32));
-                ASSERT_FALSE(s.empty());
-                for (std::size_t k = 0; k < s.count; ++k)
-                    ASSERT_TRUE(sameInst(s.data[k], ref.fetch()));
-                got += s.count;
-                break;
-              }
-            }
+        for (unsigned probes = rng.range(3); probes > 0; --probes) {
+            std::size_t n = 1 + rng.range(96);
+            ASSERT_EQ(batch.stageRun(n), n);
         }
-        seen += want;
+        InstSpan s = batch.fetchSpan(1 + rng.range(96));
+        ASSERT_FALSE(s.empty());
+        for (std::size_t k = 0; k < s.count; ++k)
+            ASSERT_TRUE(sameInst(s.data[k], test::fetchOne(ref)))
+                << "diverged at instruction " << (seen + k);
+        seen += s.count;
+        ASSERT_EQ(batch.emitted(), ref.emitted());
     }
 }
 
@@ -167,8 +150,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "libquantum", "mcf", "omnetpp", "water", "ocean",
                       "blackscholes", "streamcluster", "fluidanimate"));
 
-/** injectBug() between drained stages lands at the same stream
- *  position as the identical injection in on-demand generation. */
+/** injectBug() between spans lands at the same stream position as the
+ *  identical injection in one-at-a-time generation. */
 TEST(SpanPathBugs, StageBoundaryInjection)
 {
     for (TruthBits kind : {truthAccessUnallocated, truthUseUninit,
@@ -177,7 +160,7 @@ TEST(SpanPathBugs, StageBoundaryInjection)
         TraceGenerator ref(specProfile("mcf"));
         std::uint64_t at = 0;
         for (unsigned round = 0; round < 6; ++round) {
-            // A few stages, then a bug at the drained boundary.
+            // A few spans, then a bug at the span boundary.
             for (std::size_t stage : {std::size_t(64), std::size_t(13)}) {
                 expectSpansMatchOnDemand(batch, ref, stage, stage);
                 at += stage;
@@ -188,8 +171,8 @@ TEST(SpanPathBugs, StageBoundaryInjection)
         // The spliced instructions (and everything after) line up.
         bool sawTruth = false;
         for (unsigned k = 0; k < 4096; ++k) {
-            Instruction b = batch.fetch();
-            ASSERT_TRUE(sameInst(b, ref.fetch()));
+            Instruction b = test::fetchOne(batch);
+            ASSERT_TRUE(sameInst(b, test::fetchOne(ref)));
             sawTruth = sawTruth || b.truth == kind;
         }
         EXPECT_TRUE(sawTruth) << "bug kind " << unsigned(kind)
@@ -197,8 +180,8 @@ TEST(SpanPathBugs, StageBoundaryInjection)
     }
 }
 
-/** ThreadedSource spans reproduce its round-robin on-demand stream
- *  (quantum rotation and per-thread draw order included). */
+/** ThreadedSource spans reproduce its round-robin one-at-a-time
+ *  stream (quantum rotation and per-thread draw order included). */
 TEST(SpanPathThreaded, MatchesOnDemand)
 {
     for (unsigned threads : {2u, 3u, 4u}) {
@@ -250,14 +233,14 @@ TEST(SpanPathTrace, CaptureReplayRoundTrip)
             InstSpan s = rep.fetchSpan(64);
             ASSERT_FALSE(s.empty());
             for (std::size_t i = 0; i < s.count; ++i)
-                ASSERT_TRUE(sameInst(s.data[i], live.fetch()));
+                ASSERT_TRUE(sameInst(s.data[i], test::fetchOne(live)));
             seen += s.count;
         }
         EXPECT_EQ(rep.remaining(), 0u);
         EXPECT_EQ(rep.consumed(), kRecords);
     }
 
-    // Per-record replay == span replay (fetchNext against fetchSpan).
+    // Per-record replay == span replay (spans of one against 97).
     {
         ReplaySource byOne(reader, 0);
         ReplaySource bySpan(reader, 0);
@@ -266,48 +249,77 @@ TEST(SpanPathTrace, CaptureReplayRoundTrip)
             InstSpan s = bySpan.fetchSpan(97);
             ASSERT_FALSE(s.empty());
             for (std::size_t i = 0; i < s.count; ++i) {
-                const Instruction *r = byOne.fetchNext();
-                ASSERT_NE(r, nullptr);
-                ASSERT_TRUE(sameInst(s.data[i], *r));
+                InstSpan r = byOne.fetchSpan(1);
+                ASSERT_EQ(r.count, 1u);
+                ASSERT_TRUE(sameInst(s.data[i], *r.data));
             }
             seen += s.count;
         }
-        EXPECT_EQ(byOne.fetchNext(), nullptr);
+        EXPECT_TRUE(byOne.fetchSpan(1).empty());
         EXPECT_TRUE(bySpan.fetchSpan(1).empty());
     }
 }
 
-/** The run-grain span fast path is invisible to every simulated
- *  value: identical result fingerprints (functional results, modeled
- *  timing, queue statistics, bug reports) with spanFastPath off. */
-TEST(SpanPathEngine, ForcedOffFingerprintIdentical)
+/** Bulk extraction (EventProducer::commitSpan, the run-grain span
+ *  path) emits exactly the events per-instruction commitDecided()
+ *  pushes, event for event, and decides the same verdicts through
+ *  Monitor::monitoredSpan as per-instruction monitored(). The window
+ *  is a four-thread profile with injected bugs, so thread switches,
+ *  instruction, stack and high-level events all occur. */
+TEST(SpanPathExtraction, CommitSpanMatchesPerInstruction)
 {
-    for (const char *monitor : {"AddrCheck", "TaintCheck", ""}) {
-        for (unsigned fades : {1u, 2u}) {
-            MultiCoreConfig on;
-            on.engine = Engine::RunGrain;
-            on.monitor = monitor;
-            on.workloads = {specProfile("astar"), specProfile("gcc")};
-            on.numShards = 2;
-            on.shard.fadesPerShard = fades;
-            MultiCoreConfig off = on;
-            off.shard.spanFastPath = false;
-
-            auto run = [&](const MultiCoreConfig &cfg) {
-                MultiCoreSystem sys(cfg);
-                // The K = 2 leg must really build two units per shard
-                // (an unmonitored shard builds none).
-                if (*monitor) {
-                    for (unsigned i = 0; i < sys.numShards(); ++i)
-                        EXPECT_EQ(sys.shard(i).fadeGroup()->size(), fades);
-                }
-                sys.warmup(2000);
-                MultiCoreResult r = sys.run(8000);
-                return resultFingerprint(sys, r);
-            };
-            EXPECT_EQ(run(on), run(off))
-                << "monitor=" << monitor << " fades=" << fades;
+    constexpr std::size_t kSpan = 64;
+    for (const char *name : {"AddrCheck", "MemLeak", "TaintCheck"}) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<Monitor> bulkMon = makeMonitor(name);
+        std::unique_ptr<Monitor> oneMon = makeMonitor(name);
+        // The bulk producer needs a bound queue only as an enable flag.
+        BoundedQueue<MonEvent> bulkEq(1), oneEq(1);
+        EventProducer bulk(bulkMon.get(), &bulkEq, nullptr);
+        EventProducer one(oneMon.get(), &oneEq, nullptr);
+        TraceGenerator gen(parallelProfile("ocean"));
+        std::uint8_t verdicts[kSpan];
+        MonEvent events[kSpan];
+        std::uint64_t stackEvents = 0, highLevelEvents = 0;
+        for (unsigned round = 0; round < 400; ++round) {
+            if (round % 100 == 50) {
+                gen.injectBug(truthTaintedJump);
+                gen.injectBug(truthLeakDrop);
+            }
+            InstSpan s = gen.fetchSpan(1 + round % kSpan);
+            bulkMon->monitoredSpan(s.data, s.count, verdicts);
+            std::size_t nev =
+                bulk.commitSpan(s.data, verdicts, s.count, events);
+            std::size_t e = 0;
+            for (std::size_t i = 0; i < s.count; ++i) {
+                bool monitored = oneMon->monitored(s.data[i]);
+                ASSERT_EQ(monitored, verdicts[i] != 0);
+                one.commitDecided(s.data[i], monitored);
+                if (oneEq.empty())
+                    continue;
+                ASSERT_LT(e, nev);
+                const MonEvent &a = events[e++];
+                const MonEvent &b = oneEq.front();
+                ASSERT_TRUE(a.kind == b.kind && a.eventId == b.eventId &&
+                            a.appAddr == b.appAddr && a.appPc == b.appPc &&
+                            a.src1 == b.src1 && a.src2 == b.src2 &&
+                            a.numSrc == b.numSrc && a.dst == b.dst &&
+                            a.hasDst == b.hasDst && a.len == b.len &&
+                            a.tid == b.tid && a.shard == b.shard &&
+                            a.unit == b.unit && a.truth == b.truth &&
+                            a.seq == b.seq)
+                    << "event " << b.seq << " differs";
+                stackEvents += b.isStackUpdate();
+                highLevelEvents += b.isHighLevel();
+                oneEq.pop();
+            }
+            ASSERT_EQ(e, nev);
         }
+        EXPECT_EQ(bulk.retired(), one.retired());
+        EXPECT_EQ(bulk.produced(), one.produced());
+        EXPECT_GT(one.produced(), 0u);
+        EXPECT_GT(stackEvents, 0u);
+        EXPECT_GT(highLevelEvents, 0u);
     }
 }
 

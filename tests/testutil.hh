@@ -2,9 +2,10 @@
  * @file
  * Shared test helpers: self-deleting temp-file and temp-directory RAII
  * wrappers used by every suite that round-trips files through disk
- * (trace capture, golden replay, threaded-matrix capture tests), and
- * the unique-socket-path helper the daemon tests bind their unix
- * sockets under.
+ * (trace capture, golden replay, threaded-matrix capture tests), the
+ * unique-socket-path helper the daemon tests bind their unix sockets
+ * under, and fetchOne() for tests that read an instruction source one
+ * instruction at a time.
  */
 
 #ifndef FADE_TESTS_TESTUTIL_HH
@@ -14,12 +15,30 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <gtest/gtest.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "cpu/source.hh"
+
 namespace fade::test
 {
+
+/** The next instruction of @p src, fetched as a span of one (a test
+ *  failure, and a default instruction, when the source has none). */
+inline Instruction
+fetchOne(InstSource &src)
+{
+    InstSpan s = src.fetchSpan(1);
+    if (s.count != 1) {
+        ADD_FAILURE() << "fetchOne: source served " << s.count
+                      << " instructions";
+        return {};
+    }
+    return *s.data;
+}
 
 /** Self-deleting temporary file (mkstemp-backed RAII path). */
 class TempFile
