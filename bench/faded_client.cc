@@ -1,7 +1,7 @@
 /**
  * @file
  * faded_client — submit monitoring sessions to a running faded
- * daemon (bench/faded.cc). Three modes:
+ * daemon (bench/faded.cc). Two modes:
  *
  *   faded_client --socket PATH [config flags]
  *       Run one live session and print its result fingerprints.
@@ -13,11 +13,6 @@
  *       Upload a captured trace and replay it daemon-side under the
  *       trace's own manifest config.
  *
- *   faded_client --socket PATH --sessions N --concurrency K
- *       Load mode: K client threads keep N sessions' worth of work in
- *       flight (distinct seed offsets), then emit one JSON line of
- *       sessions/s throughput.
- *
  * Config flags: --monitor M --profile P (repeatable) --shards N
  * --clusters C --fades K --policy lockstep|parallel
  * --engine percycle|rungrain --warm N --instr N
@@ -26,14 +21,10 @@
  * usage error (exit 2).
  */
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "daemon/client.hh"
 #include "daemon/session.hh"
@@ -50,8 +41,6 @@ struct Options
     WireSessionConfig wc;
     bool check = false;
     int slowMs = 0;
-    unsigned sessions = 0;
-    unsigned concurrency = 1;
 };
 
 int
@@ -64,8 +53,8 @@ usage()
         "                    [--policy lockstep|parallel]\n"
         "                    [--engine percycle|rungrain]\n"
         "                    [--warm N] [--instr N] [--seed-offset N]\n"
-        "                    [--upload FILE.ftrace] [--check] [--slow-ms N]\n"
-        "                    [--sessions N --concurrency K]\n");
+        "                    [--upload FILE.ftrace] [--check] "
+        "[--slow-ms N]\n");
     return 2;
 }
 
@@ -158,64 +147,6 @@ runOne(const Options &opt)
     return 0;
 }
 
-int
-runLoad(const Options &opt)
-{
-    std::atomic<unsigned> nextSession{0};
-    std::atomic<unsigned> completed{0};
-    std::atomic<unsigned> failed{0};
-    std::atomic<std::uint64_t> instructions{0};
-
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < opt.concurrency; ++t) {
-        threads.emplace_back([&] {
-            for (;;) {
-                unsigned s = nextSession.fetch_add(1);
-                if (s >= opt.sessions)
-                    return;
-                try {
-                    DaemonClient client(opt.socket);
-                    WireSessionConfig wc = opt.wc;
-                    // Distinct seed per session: the load is many
-                    // different experiments, not one repeated.
-                    wc.seedOffset += s;
-                    if (client.configure(wc)) {
-                        failed.fetch_add(1);
-                        continue;
-                    }
-                    SessionOutcome o = client.run();
-                    client.close();
-                    if (!o.ok) {
-                        failed.fetch_add(1);
-                        continue;
-                    }
-                    completed.fetch_add(1);
-                    instructions.fetch_add(o.result.instructions);
-                } catch (const ProtocolError &) {
-                    failed.fetch_add(1);
-                }
-            }
-        });
-    }
-    for (std::thread &th : threads)
-        th.join();
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-
-    std::printf("{\"bench\":\"faded\",\"mode\":\"load\","
-                "\"sessions\":%u,\"concurrency\":%u,"
-                "\"completed\":%u,\"failed\":%u,"
-                "\"instructions\":%llu,\"wall_s\":%.6f,"
-                "\"sessions_per_s\":%.2f}\n",
-                opt.sessions, opt.concurrency, completed.load(),
-                failed.load(),
-                (unsigned long long)instructions.load(), wall,
-                completed.load() / wall);
-    return failed.load() == 0 ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -273,12 +204,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--slow-ms")) {
             opt.slowMs =
                 int(std::strtol(next("--slow-ms"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--sessions")) {
-            opt.sessions = unsigned(
-                std::strtoul(next("--sessions"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--concurrency")) {
-            opt.concurrency = unsigned(
-                std::strtoul(next("--concurrency"), nullptr, 10));
         } else {
             std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
             return usage();
@@ -297,8 +222,6 @@ main(int argc, char **argv)
     }
 
     try {
-        if (opt.sessions > 0)
-            return runLoad(opt);
         return runOne(opt);
     } catch (const ProtocolError &e) {
         std::fprintf(stderr, "faded_client: %s\n", e.what());

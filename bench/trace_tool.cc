@@ -151,7 +151,8 @@ replayOne(const std::string &file, const Options &opt, bool quiet)
     // legitimately different. Replay still runs (and is deterministic),
     // but the hash check is informational only under --engine rungrain
     // (functional equality across engines is enforced by
-    // tests/test_pipeline.cc and the fig12/micro_pipeline harnesses).
+    // tests/test_pipeline.cc, and on replayed captures by
+    // tests/test_tracefile.cc).
     bool grainTiming = cfg.engine == Engine::RunGrain;
 
     MultiCoreSystem sys(cfg);

@@ -9,7 +9,7 @@ Fade::Fade(const FadeParams &p, MonitorContext &ctx, Cache *l2)
       mdc_(p.mdCache, l2),
       logic_(inv_),
       fsq_(p.fsqEntries),
-      suu_(mdc_, ctx.shadow, inv_, p.callInvId, p.retInvId)
+      suu_(mdc_, ctx.shadow, inv_)
 {
 }
 

@@ -48,10 +48,6 @@ struct FadeParams
     std::size_t fsqEntries = 16;
     /** MD cache / M-TLB geometry. */
     MdCacheParams mdCache;
-    /** INV register holding the bulk value written on function calls. */
-    unsigned callInvId = 6;
-    /** INV register holding the bulk value written on returns. */
-    unsigned retInvId = 7;
     /**
      * Drain in-flight work around high-level events (malloc / free /
      * taint source) and hold filtering until their handler completes.
@@ -113,38 +109,55 @@ struct FadeStats
         return static_cast<double>(filtered + partialPass) / instEvents;
     }
 
-    /** Accumulate another instance's counters (multi-core rollups). */
-    void
-    merge(const FadeStats &o)
+    /**
+     * Every member, once, in fingerprint order: f(name, &member, kind).
+     * The five stall counters and busy/idle cycles are Timing; every
+     * other member, suuCycles and both unfiltered histograms included,
+     * is Functional (docs/ARCHITECTURE.md, "Run-grain engine").
+     */
+    template <class F>
+    static void
+    forEachField(F &&f)
     {
-        instEvents += o.instEvents;
-        filtered += o.filtered;
-        filteredCC += o.filteredCC;
-        filteredRU += o.filteredRU;
-        partialPass += o.partialPass;
-        partialFail += o.partialFail;
-        unfiltered += o.unfiltered;
-        stackEvents += o.stackEvents;
-        highLevelEvents += o.highLevelEvents;
-        shots += o.shots;
-        comparisons += o.comparisons;
-        crossShardEvents += o.crossShardEvents;
-        stallUeqFull += o.stallUeqFull;
-        stallBlocking += o.stallBlocking;
-        stallDrain += o.stallDrain;
-        stallMdRead += o.stallMdRead;
-        stallFsqFull += o.stallFsqFull;
-        suuCycles += o.suuCycles;
-        busyCycles += o.busyCycles;
-        idleCycles += o.idleCycles;
-        unfDistance.merge(o.unfDistance);
-        unfBurst.merge(o.unfBurst);
-        for (unsigned i = 0; i < numCanonicalEvents; ++i) {
-            filteredById[i] += o.filteredById[i];
-            softwareById[i] += o.softwareById[i];
-        }
+        constexpr StatKind fn = StatKind::Functional;
+        constexpr StatKind tm = StatKind::Timing;
+        f("inst_events", &FadeStats::instEvents, fn);
+        f("filtered", &FadeStats::filtered, fn);
+        f("filtered_cc", &FadeStats::filteredCC, fn);
+        f("filtered_ru", &FadeStats::filteredRU, fn);
+        f("partial_pass", &FadeStats::partialPass, fn);
+        f("partial_fail", &FadeStats::partialFail, fn);
+        f("unfiltered", &FadeStats::unfiltered, fn);
+        f("stack_events", &FadeStats::stackEvents, fn);
+        f("high_level_events", &FadeStats::highLevelEvents, fn);
+        f("shots", &FadeStats::shots, fn);
+        f("comparisons", &FadeStats::comparisons, fn);
+        f("cross_shard_events", &FadeStats::crossShardEvents, fn);
+        f("stall_ueq_full", &FadeStats::stallUeqFull, tm);
+        f("stall_blocking", &FadeStats::stallBlocking, tm);
+        f("stall_drain", &FadeStats::stallDrain, tm);
+        f("stall_md_read", &FadeStats::stallMdRead, tm);
+        f("stall_fsq_full", &FadeStats::stallFsqFull, tm);
+        f("suu_cycles", &FadeStats::suuCycles, fn);
+        f("busy_cycles", &FadeStats::busyCycles, tm);
+        f("idle_cycles", &FadeStats::idleCycles, tm);
+        f("unf_distance", &FadeStats::unfDistance, fn);
+        f("unf_burst", &FadeStats::unfBurst, fn);
+        f("filtered_by_id", &FadeStats::filteredById, fn);
+        f("software_by_id", &FadeStats::softwareById, fn);
     }
+
+    /** Accumulate another instance's counters (multi-core rollups). */
+    void merge(const FadeStats &o) { mergeFields(*this, o); }
 };
+
+// A member missing from forEachField would escape merge() and every
+// fingerprint; this trips on the CI platform when the struct changes.
+#if defined(__linux__) && defined(__x86_64__)
+static_assert(sizeof(FadeStats) == 368,
+              "FadeStats changed: list the member in "
+              "FadeStats::forEachField, then update this size");
+#endif
 
 /**
  * What the run-grain engine (system/rungrain.hh) needs to know about
@@ -227,14 +240,6 @@ class Fade
      * forward.
      */
     RunGrainEventOutcome processEventRunGrain(const MonEvent &ev);
-
-    /** Run-grain engine: batch-apply modeled busy/idle unit cycles. */
-    void
-    runGrainAccountCycles(std::uint64_t busy, std::uint64_t idle)
-    {
-        stats_.busyCycles += busy;
-        stats_.idleCycles += idle;
-    }
 
     /** Software completed the handler of the event with @p seq. */
     void handlerDone(std::uint64_t seq);
@@ -346,7 +351,6 @@ class Fade
     OperandMd gatherMd(const EventTableEntry &e, const MonEvent &ev) const;
     unsigned mdReadLatency(const EventTableEntry &e, const MonEvent &ev);
     void recordSoftwareBound(const MonEvent &ev);
-    void noteFiltered(const FilterOutcome &out);
     bool advanceMw(Cycle now);
     void advanceFilter(Cycle now);
     void advanceMdr(Cycle now);

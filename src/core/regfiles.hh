@@ -21,6 +21,12 @@ namespace fade
 /** Number of invariant registers. */
 constexpr unsigned numInvRegs = 8;
 
+/** INV registers holding the bulk values the Stack-Update Unit writes
+ *  over a frame on function calls and on returns; each monitor's
+ *  programFade() fills both. */
+constexpr unsigned callInvReg = 6;
+constexpr unsigned retInvReg = 7;
+
 /** Maximum software threads the MD RF tracks (AtomCheck workloads). */
 constexpr unsigned maxThreads = 4;
 

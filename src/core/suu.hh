@@ -32,13 +32,10 @@ class StackUpdateUnit
      * @param mdc        MD cache the writes go through
      * @param shadow     functional metadata store
      * @param inv        INV RF holding the two bulk values
-     * @param callInvId  INV register written on function calls
-     * @param retInvId   INV register written on function returns
+     *                   (callInvReg, retInvReg)
      */
-    StackUpdateUnit(MdCache &mdc, ShadowMemory &shadow, InvRegFile &inv,
-                    unsigned callInvId, unsigned retInvId)
-        : mdc_(mdc), shadow_(shadow), inv_(inv),
-          callInvId_(callInvId), retInvId_(retInvId)
+    StackUpdateUnit(MdCache &mdc, ShadowMemory &shadow, InvRegFile &inv)
+        : mdc_(mdc), shadow_(shadow), inv_(inv)
     {}
 
     /** Begin processing a stack-update event. */
@@ -52,7 +49,7 @@ class StackUpdateUnit
         Addr lastWord = (frameBase + frameBytes - 1) / wordSize;
         curMd_ = mdBase + firstWord;
         endMd_ = mdBase + lastWord + 1;
-        value_ = inv_.read(isCall ? callInvId_ : retInvId_);
+        value_ = inv_.read(isCall ? callInvReg : retInvReg);
         stall_ = 0;
         ++updates_;
     }
@@ -101,8 +98,6 @@ class StackUpdateUnit
     MdCache &mdc_;
     ShadowMemory &shadow_;
     InvRegFile &inv_;
-    unsigned callInvId_;
-    unsigned retInvId_;
 
     Addr curMd_ = 0;
     Addr endMd_ = 0;

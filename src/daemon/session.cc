@@ -160,7 +160,7 @@ fillResult(MultiCoreSystem &sys, const MultiCoreResult &res)
     ResultInfo r;
     r.resultFp = resultFingerprint(sys, res);
     r.hash = fingerprintHash(r.resultFp);
-    r.functionalFp = sys.functionalFingerprint();
+    r.functionalFp = sys.functionalFingerprint().values;
     r.instructions = res.totalInstructions;
     r.events = res.totalEvents;
     r.cycles = res.cycles;

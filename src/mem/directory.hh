@@ -126,7 +126,6 @@ class DirectoryPort : public MemPort
 
     unsigned access(Addr addr, bool write) override;
 
-    unsigned homeCluster() const { return my_; }
     const DirectoryPortStats &stats() const { return stats_; }
     void resetStats() { stats_ = DirectoryPortStats{}; }
 

@@ -55,8 +55,8 @@ void
 AddrCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdAllocated);
-    inv.write(6, mdAllocated);   // call: new frame is allocated
-    inv.write(7, mdUnallocated); // return: frame is deallocated
+    inv.write(callInvReg, mdAllocated);  // call: new frame is allocated
+    inv.write(retInvReg, mdUnallocated); // return: frame is deallocated
 
     // Load: clean check on the memory operand's allocated bit.
     EventTableEntry ld;

@@ -56,8 +56,8 @@ AtomCheck::programFade(EventTable &table, InvRegFile &inv) const
     // INV[0] holds accessed|current-thread; rewritten on each context
     // switch by onThreadSwitch().
     inv.write(0, mdAccessed | 0);
-    inv.write(6, 0); // call: clear per-frame access tracking
-    inv.write(7, 0); // return: likewise
+    inv.write(callInvReg, 0); // call: clear per-frame access tracking
+    inv.write(retInvReg, 0);  // return: likewise
 
     // Loads and stores: partial filtering. The check compares the
     // location's full metadata byte (accessed | last tid) against the

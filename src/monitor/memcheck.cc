@@ -78,8 +78,8 @@ void
 MemCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdInit);
-    inv.write(6, mdUninit);      // call: allocated but uninitialized
-    inv.write(7, mdUnallocated); // return: unallocated
+    inv.write(callInvReg, mdUninit);     // call: allocated, uninitialized
+    inv.write(retInvReg, mdUnallocated); // return: unallocated
 
     auto ccThenRu = [&](unsigned id, unsigned chain, OperandRule s1,
                         OperandRule s2, OperandRule d, RuOp ru,

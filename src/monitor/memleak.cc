@@ -67,8 +67,8 @@ void
 MemLeak::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdNonPointer);
-    inv.write(6, mdNonPointer); // call: frame words hold no pointers
-    inv.write(7, mdNonPointer); // return: likewise
+    inv.write(callInvReg, mdNonPointer); // call: frame holds no pointers
+    inv.write(retInvReg, mdNonPointer);  // return: likewise
 
     OperandRule mem{true, true, 1, 0x01, 0};
     OperandRule reg{true, false, 1, 0x01, 0};

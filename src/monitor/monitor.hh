@@ -176,7 +176,6 @@ class Monitor
     }
 
     const std::vector<BugReport> &reports() const { return reports_; }
-    void clearReports() { reports_.clear(); }
 
   protected:
     void

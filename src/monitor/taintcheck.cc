@@ -71,8 +71,8 @@ void
 TaintCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdUntainted);
-    inv.write(6, mdUntainted); // call: fresh frame is untainted
-    inv.write(7, mdUntainted); // return: clear taint with the frame
+    inv.write(callInvReg, mdUntainted); // call: fresh frame is untainted
+    inv.write(retInvReg, mdUntainted);  // return: clear taint with it
 
     auto ccThenRu = [&](unsigned id, unsigned chain, OperandRule s1,
                         OperandRule s2, OperandRule d, RuOp ru,

@@ -4,6 +4,11 @@
  * histograms (used for queue-occupancy CDFs, Fig. 3 of the paper), and
  * linear histograms for burst/distance distributions (Fig. 4).
  *
+ * Counter structs (FadeStats, RunResult) list their members once, in a
+ * static forEachField(f) that calls f(name, &T::member, StatKind) per
+ * member. mergeFields() and appendFields() walk that list, so merging,
+ * both fingerprints and their counter names all follow from it.
+ *
  * Thread-safety contract: none of these types lock. The multi-core
  * path keeps every container shard-private while worker threads run
  * and folds them together only at slice barriers or end of run, on a
@@ -17,10 +22,12 @@
 #define FADE_SIM_STATS_HH
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fade
@@ -241,6 +248,99 @@ class LinearHistogram
     std::uint64_t total_ = 0;
     RunningStat stat_;
 };
+
+/**
+ * What sets a listed counter: Functional counters follow from the
+ * instruction and event streams alone, so every engine must agree on
+ * them; Timing counters are set by the timing model (run-grain
+ * models them in closed form).
+ */
+enum class StatKind : std::uint8_t { Functional, Timing };
+
+/**
+ * A run's counters flattened into one comparable vector, each value
+ * named by a dotted path (`shard0.fade.suu_cycles`); values[i] is
+ * named names[i]. Two runs are bit-identical iff their values compare
+ * equal; the names say which counter differs when they do not.
+ */
+struct StatVector
+{
+    std::vector<std::uint64_t> values;
+    std::vector<std::string> names;
+
+    void
+    add(std::string name, std::uint64_t v)
+    {
+        names.push_back(std::move(name));
+        values.push_back(v);
+    }
+
+    /** Sample total, largest sample, then one value per bucket. */
+    void
+    add(const std::string &name, const Log2Histogram &h)
+    {
+        add(name + ".total", h.total());
+        add(name + ".max", h.maxValue());
+        for (std::size_t b = 0; b < h.buckets().size(); ++b)
+            add(name + ".bucket[" + std::to_string(b) + "]",
+                h.buckets()[b]);
+    }
+
+    template <std::size_t N>
+    void
+    add(const std::string &name, const std::array<std::uint64_t, N> &a)
+    {
+        for (std::size_t i = 0; i < N; ++i)
+            add(name + "[" + std::to_string(i) + "]", a[i]);
+    }
+
+    /** Append every value of @p o, its names under @p prefix. */
+    void
+    append(const std::string &prefix, const StatVector &o)
+    {
+        for (std::size_t i = 0; i < o.values.size(); ++i)
+            add(prefix + "." + o.names[i], o.values[i]);
+    }
+};
+
+/**
+ * Append the counters T::forEachField lists, in list order, named
+ * `prefix.field`; @p functionalOnly skips the StatKind::Timing ones.
+ */
+template <class T>
+void
+appendFields(StatVector &out, const std::string &prefix, const T &s,
+             bool functionalOnly = false)
+{
+    T::forEachField([&](const char *name, auto member, StatKind kind) {
+        if (!functionalOnly || kind == StatKind::Functional)
+            out.add(prefix + "." + name, s.*member);
+    });
+}
+
+inline void accumulate(std::uint64_t &a, std::uint64_t b) { a += b; }
+inline void accumulate(Log2Histogram &a, const Log2Histogram &b)
+{
+    a.merge(b);
+}
+template <std::size_t N>
+void
+accumulate(std::array<std::uint64_t, N> &a,
+           const std::array<std::uint64_t, N> &b)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        a[i] += b[i];
+}
+
+/** Fold @p b's listed counters into @p a (shard and unit rollups). */
+template <class T>
+void
+mergeFields(T &a, const T &b)
+{
+    T::forEachField([&](const char *, auto member, StatKind) {
+        accumulate(a.*member, b.*member);
+    });
+}
 
 /** Geometric mean over a set of ratios (the paper reports gmeans). */
 inline double

@@ -191,102 +191,59 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
 
 MultiCoreSystem::~MultiCoreSystem() = default;
 
-namespace
+StatVector
+resultStats(MultiCoreSystem &sys, const MultiCoreResult &r)
 {
-
-// The fingerprint below hand-enumerates every FadeStats / RunResult
-// field; a field added without extending appendFade/appendRun would
-// silently escape the scheduler bit-equality checks. These asserts
-// trip on the CI platform when either struct grows: extend the
-// matching append helper (and FadeStats::merge), then update the size.
-#if defined(__linux__) && defined(__x86_64__)
-static_assert(sizeof(FadeStats) == 368,
-              "FadeStats changed: update appendFade + this size");
-static_assert(sizeof(RunResult) == 72,
-              "RunResult changed: update appendRun + this size");
-#endif
-
-void
-appendHist(std::vector<std::uint64_t> &fp, const Log2Histogram &h)
-{
-    fp.push_back(h.total());
-    fp.push_back(h.maxValue());
-    for (std::uint64_t b : h.buckets())
-        fp.push_back(b);
-}
-
-void
-appendFade(std::vector<std::uint64_t> &fp, const FadeStats &f)
-{
-    fp.insert(fp.end(),
-              {f.instEvents, f.filtered, f.filteredCC, f.filteredRU,
-               f.partialPass, f.partialFail, f.unfiltered, f.stackEvents,
-               f.highLevelEvents, f.shots, f.comparisons,
-               f.crossShardEvents, f.stallUeqFull, f.stallBlocking,
-               f.stallDrain, f.stallMdRead, f.stallFsqFull, f.suuCycles,
-               f.busyCycles, f.idleCycles});
-    appendHist(fp, f.unfDistance);
-    appendHist(fp, f.unfBurst);
-    for (std::uint64_t c : f.filteredById)
-        fp.push_back(c);
-    for (std::uint64_t c : f.softwareById)
-        fp.push_back(c);
-}
-
-void
-appendRun(std::vector<std::uint64_t> &fp, const RunResult &r)
-{
-    fp.insert(fp.end(),
-              {r.appInstructions, r.cycles, r.monitoredEvents,
-               r.appStallCycles, r.monIdleCycles, r.handlerInstructions,
-               r.handlersRun});
-}
-
-} // namespace
-
-std::vector<std::uint64_t>
-resultFingerprint(MultiCoreSystem &sys, const MultiCoreResult &r)
-{
-    std::vector<std::uint64_t> fp;
-    fp.insert(fp.end(), {r.cycles, r.totalInstructions, r.totalEvents});
-    appendFade(fp, r.fade);
-    appendHist(fp, r.eqOccupancy);
+    StatVector fp;
+    fp.add("cycles", r.cycles);
+    fp.add("instructions", r.totalInstructions);
+    fp.add("events", r.totalEvents);
+    appendFields(fp, "fade", r.fade);
+    fp.add("eq_occupancy", r.eqOccupancy);
     for (const ShardResult &s : r.shards) {
-        appendRun(fp, s.run);
-        appendFade(fp, s.fade);
-        appendHist(fp, s.eqOccupancy);
-        fp.push_back(s.bugReports);
+        const std::string shard = "shard" + std::to_string(s.shard);
+        appendFields(fp, shard + ".run", s.run);
+        appendFields(fp, shard + ".fade", s.fade);
+        fp.add(shard + ".eq_occupancy", s.eqOccupancy);
+        fp.add(shard + ".bug_reports", s.bugReports);
     }
     for (unsigned i = 0; i < sys.numShards(); ++i)
-        fp.push_back(sys.monitor(i) ? sys.monitor(i)->reports().size()
-                                    : 0);
+        fp.add("shard" + std::to_string(i) + ".reports",
+               sys.monitor(i) ? sys.monitor(i)->reports().size() : 0);
     // Per-slice LLC counters; with one cluster this is exactly the
     // {hits, misses} pair the flat fingerprint always ended with, so
     // flat fingerprints stay comparable across the topology refactor.
     for (unsigned c = 0; c < sys.numClusters(); ++c) {
-        fp.push_back(sys.directory().slice(c).hits());
-        fp.push_back(sys.directory().slice(c).misses());
+        const std::string llc = "llc" + std::to_string(c);
+        fp.add(llc + ".hits", sys.directory().slice(c).hits());
+        fp.add(llc + ".misses", sys.directory().slice(c).misses());
     }
     // Clustered topologies additionally pin the routing decisions.
     if (sys.numClusters() > 1) {
         for (const ShardResult &s : r.shards) {
-            fp.push_back(s.l2Local);
-            fp.push_back(s.l2Remote);
+            const std::string shard = "shard" + std::to_string(s.shard);
+            fp.add(shard + ".l2_local", s.l2Local);
+            fp.add(shard + ".l2_remote", s.l2Remote);
         }
     }
     return fp;
 }
 
 std::vector<std::uint64_t>
+resultFingerprint(MultiCoreSystem &sys, const MultiCoreResult &r)
+{
+    return resultStats(sys, r).values;
+}
+
+StatVector
 MultiCoreSystem::functionalFingerprint()
 {
     for (auto &s : shards_)
         s->drain();
-    std::vector<std::uint64_t> fp;
-    for (auto &s : shards_) {
-        std::vector<std::uint64_t> sf = s->functionalFingerprint();
-        fp.insert(fp.end(), sf.begin(), sf.end());
-    }
+    StatVector fp;
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+        fp.append("shard" + std::to_string(i),
+                  shards_[i]->functionalFingerprint());
     return fp;
 }
 

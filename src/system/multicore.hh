@@ -198,16 +198,16 @@ class MultiCoreSystem
 
     /**
      * Drain every shard, then concatenate the shards' engine-invariant
-     * functional fingerprints (MonitoringSystem::functionalFingerprint
-     * — retirement/event counts, filter verdicts, handler work,
-     * monitor reports; no cycle-dependent values). The run-grain
-     * engine reproduces this vector bit for bit against the per-cycle
+     * functional fingerprints (MonitoringSystem::functionalFingerprint,
+     * named `shard<i>.*` — the StatKind::Functional counters and the
+     * report count; no cycle-dependent values). The run-grain engine
+     * reproduces this vector bit for bit against the per-cycle
      * reference when both engines cover the same per-shard instruction
      * windows — e.g. replaying a run-grain-captured trace, whose
      * streams end at exact retirement quotas (tests/test_tracefile.cc).
      * Finishes the monitors; call once, after the last run() slice.
      */
-    std::vector<std::uint64_t> functionalFingerprint();
+    StatVector functionalFingerprint();
 
     unsigned numShards() const { return unsigned(shards_.size()); }
     MonitoringSystem &shard(unsigned i) { return *shards_.at(i); }
@@ -233,13 +233,6 @@ class MultiCoreSystem
     ShardScheduler &scheduler() { return *sched_; }
     const ShardScheduler &scheduler() const { return *sched_; }
 
-    /** Per-process monitor state shared by all shards' monitor
-     *  instances, or nullptr for non-process workloads
-     *  (monitor/interleave.hh). */
-    ProcessShared *processShared() { return procShared_.get(); }
-
-    /** The capture writer (nullptr when traceOut is empty). */
-    TraceWriter *traceWriter() { return writer_.get(); }
     /** The replay reader (nullptr when traceIn is empty). */
     const TraceReader *traceReader() const { return reader_.get(); }
 
@@ -301,16 +294,21 @@ BenchProfile shardWorkload(const std::vector<BenchProfile> &workloads,
 
 /**
  * Every simulated value a measured run produced — aggregate and
- * per-shard results, all FADE counters (merged over each shard's
- * filter units), occupancy histograms, bug-report counts, per-slice
- * LLC hit/miss counters, and (for clustered topologies) per-shard
- * directory routing counters — flattened into one comparable vector.
- * The flat 1-cluster layout is unchanged from the pre-topology system,
- * so flat fingerprints stay comparable across the refactor. Two runs
- * are bit-identical iff their fingerprints compare equal; the
- * scheduler/topology tests and the fig12 harness use this to assert
- * ParallelBatched == Lockstep and batched == per-cycle on every shape.
+ * per-shard results, every listed RunResult and FadeStats counter
+ * (FADE counters merged over each shard's filter units), occupancy
+ * histograms, bug-report counts, per-slice LLC hit/miss counters, and
+ * (for clustered topologies) per-shard directory routing counters —
+ * flattened into one named vector (`cycles`, `fade.partial_fail`,
+ * `shard2.run.handler_instructions`, `llc1.misses`). The flat
+ * 1-cluster layout is unchanged from the pre-topology system, so flat
+ * fingerprints stay comparable across the refactor. Two runs are
+ * bit-identical iff their values compare equal; the scheduler and
+ * topology tests and the fig12 harness use this to assert
+ * ParallelBatched == Lockstep on every shape.
  */
+StatVector resultStats(MultiCoreSystem &sys, const MultiCoreResult &r);
+
+/** resultStats(sys, r).values: the vector fingerprintHash() hashes. */
 std::vector<std::uint64_t> resultFingerprint(MultiCoreSystem &sys,
                                              const MultiCoreResult &r);
 

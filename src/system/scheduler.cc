@@ -253,12 +253,4 @@ ShardScheduler::stepEpochs(std::uint64_t maxEpochs)
     return true;
 }
 
-void
-ShardScheduler::run(std::uint64_t instructions, const char *what)
-{
-    beginRun(instructions, what);
-    while (!stepEpochs(~std::uint64_t(0))) {
-    }
-}
-
 } // namespace fade

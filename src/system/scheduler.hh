@@ -92,7 +92,8 @@ struct SchedulerStats
     std::uint64_t slices = 0;
     /** Total shard cycles ticked under the scheduler. */
     std::uint64_t ticks = 0;
-    /** Wall-clock seconds spent inside run(). */
+    /** Wall-clock seconds from beginRun() to the end of the run,
+     *  summed over runs. */
     double wallSeconds = 0.0;
     /** Per-epoch wall-clock seconds (mean/min/max/stddev). */
     RunningStat epochWall;
@@ -172,12 +173,12 @@ class ShardRunner
 /**
  * Runs N shards to a per-shard instruction target under the configured
  * policy. Construction is cheap; the ParallelBatched worker pool is
- * started lazily on the first parallel run() and joined in the
+ * started lazily by the first parallel beginRun() and joined in the
  * destructor.
  *
- * Thread-safety contract: run(), resetStats() and stats() must be
- * called from one thread (the owner's). Workers only ever execute
- * ShardRunner::runSlice between barriers; every merge step
+ * Thread-safety contract: beginRun(), stepEpochs(), resetStats() and
+ * stats() must be called from one thread (the owner's). Workers only
+ * ever execute ShardRunner::runSlice between barriers; every merge step
  * (commitSlice, beginEpoch, stat rollups) happens on the calling
  * thread with workers quiescent, so simulated state needs no locks.
  */
@@ -201,29 +202,23 @@ class ShardScheduler
     ShardScheduler &operator=(const ShardScheduler &) = delete;
 
     /**
-     * Advance every shard by @p instructions retired instructions,
-     * slicing and merging per the policy. Panics (like the legacy
-     * lockstep loop) if a shard exceeds sliceCycleLimit() without
-     * reaching its target; throws TraceError if a replayed shard's
-     * stream runs dry first. @p what names the phase in diagnostics.
-     * Equivalent to beginRun() + stepEpochs(until done).
-     */
-    void run(std::uint64_t instructions, const char *what);
-
-    /**
-     * Resumable form of run(): arm a run toward @p instructions more
-     * retired instructions per shard, then advance it with
-     * stepEpochs(). Epoch boundaries — and therefore every simulated
-     * value — are identical whether the run is stepped in one call or
-     * many: stepEpochs(k) executes exactly the first k epochs the
-     * monolithic loop would have. The monitoring daemon interleaves
-     * many sessions this way, yielding between sessions at epoch
-     * granularity (daemon/sessionpool.hh).
+     * Arm a run: advance every shard by @p instructions retired
+     * instructions, slicing and merging per the policy, as
+     * stepEpochs() is called. Epoch boundaries — and therefore every
+     * simulated value — are identical whether the run is stepped in
+     * one call or many: stepEpochs(k) executes exactly the first k
+     * epochs of the run. The monitoring daemon interleaves many
+     * sessions this way, yielding between sessions at epoch
+     * granularity (daemon/sessionpool.hh). @p what names the phase in
+     * diagnostics.
      */
     void beginRun(std::uint64_t instructions, const char *what);
 
     /**
      * Execute at most @p maxEpochs slice epochs of the armed run.
+     * Panics (like the single-core run loop) if a shard exceeds
+     * sliceCycleLimit() without reaching its target; throws TraceError
+     * if a replayed shard's stream runs dry first.
      * @return true when every shard has reached its target (the run is
      * finished and detached; wall-clock accounting is folded into
      * stats()). Panics if called without an armed run.

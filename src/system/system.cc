@@ -290,43 +290,17 @@ MonitoringSystem::produced() const
     return producer_->produced();
 }
 
-std::vector<std::uint64_t>
+StatVector
 MonitoringSystem::functionalFingerprint()
 {
-    std::vector<std::uint64_t> fp = {producer_->retired(),
-                                     producer_->produced()};
-    if (mproc_) {
-        fp.push_back(mproc_->stats().instructions);
-        fp.push_back(mproc_->stats().handlers);
-    } else {
-        fp.insert(fp.end(), {0, 0});
-    }
     if (fades_)
         fades_->finalizeBursts();
-    const FadeStats f = fadeStats();
-    fp.insert(fp.end(),
-              {f.instEvents, f.filtered, f.filteredCC, f.filteredRU,
-               f.partialPass, f.partialFail, f.unfiltered, f.stackEvents,
-               f.highLevelEvents, f.shots, f.comparisons,
-               f.crossShardEvents, f.suuCycles});
-    auto hist = [&fp](const Log2Histogram &h) {
-        fp.push_back(h.total());
-        fp.push_back(h.maxValue());
-        for (std::uint64_t b : h.buckets())
-            fp.push_back(b);
-    };
-    hist(f.unfDistance);
-    hist(f.unfBurst);
-    for (std::uint64_t c : f.filteredById)
-        fp.push_back(c);
-    for (std::uint64_t c : f.softwareById)
-        fp.push_back(c);
-    if (mon_) {
+    StatVector fp;
+    appendFields(fp, "run", counters(), true);
+    appendFields(fp, "fade", fadeStats(), true);
+    if (mon_)
         mon_->finish();
-        fp.push_back(mon_->reports().size());
-    } else {
-        fp.push_back(0);
-    }
+    fp.add("reports", mon_ ? mon_->reports().size() : 0);
     return fp;
 }
 
@@ -338,16 +312,12 @@ MonitoringSystem::beginSlice()
 }
 
 RunResult
-MonitoringSystem::endSlice()
+MonitoringSystem::counters() const
 {
     RunResult r;
-    if (rg_)
-        rg_->finalizeSlice();
     r.appInstructions = producer_->retired();
     r.cycles = now_ - sliceStart_;
     r.monitoredEvents = producer_->produced();
-    r.appIpc = double(r.appInstructions) / double(r.cycles);
-    r.monitoredIpc = double(r.monitoredEvents) / double(r.cycles);
     r.appStallCycles = appCore_->threadStats(0).sinkStallCycles;
     if (mproc_) {
         const Core &mc = monCore_ ? *monCore_ : *appCore_;
@@ -356,6 +326,17 @@ MonitoringSystem::endSlice()
         r.handlerInstructions = mproc_->stats().instructions;
         r.handlersRun = mproc_->stats().handlers;
     }
+    return r;
+}
+
+RunResult
+MonitoringSystem::endSlice()
+{
+    if (rg_)
+        rg_->finalizeSlice();
+    RunResult r = counters();
+    r.appIpc = double(r.appInstructions) / double(r.cycles);
+    r.monitoredIpc = double(r.monitoredEvents) / double(r.cycles);
     if (fades_)
         fades_->finalizeBursts();
     if (mon_)

@@ -146,7 +146,34 @@ struct RunResult
     std::uint64_t monIdleCycles = 0;
     std::uint64_t handlerInstructions = 0;
     std::uint64_t handlersRun = 0;
+
+    /**
+     * Every counter, once, in fingerprint order: f(name, &member,
+     * kind). The two IPCs are derived from these and not listed.
+     */
+    template <class F>
+    static void
+    forEachField(F &&f)
+    {
+        constexpr StatKind fn = StatKind::Functional;
+        constexpr StatKind tm = StatKind::Timing;
+        f("app_instructions", &RunResult::appInstructions, fn);
+        f("cycles", &RunResult::cycles, tm);
+        f("monitored_events", &RunResult::monitoredEvents, fn);
+        f("app_stall_cycles", &RunResult::appStallCycles, tm);
+        f("mon_idle_cycles", &RunResult::monIdleCycles, tm);
+        f("handler_instructions", &RunResult::handlerInstructions, fn);
+        f("handlers_run", &RunResult::handlersRun, fn);
+    }
 };
+
+// A counter missing from forEachField would escape every fingerprint;
+// this trips on the CI platform when the struct changes.
+#if defined(__linux__) && defined(__x86_64__)
+static_assert(sizeof(RunResult) == 72,
+              "RunResult changed: list the member in "
+              "RunResult::forEachField, then update this size");
+#endif
 
 /**
  * One monitored (or baseline) system instance. The monitor is owned by
@@ -218,17 +245,17 @@ class MonitoringSystem
     void drain();
 
     /**
-     * The engine-invariant functional fingerprint: every value a run
-     * produces that does not depend on the timing model — retirement
-     * and event counts, filter verdicts, SUU work, handler work, the
-     * event-indexed unfiltered histograms, and monitor reports. The
-     * run-grain engine reproduces this vector bit for bit against the
-     * per-cycle reference when both cover the same instruction window
+     * The engine-invariant functional fingerprint: the
+     * StatKind::Functional counters of RunResult (`run.*`) and of the
+     * merged FadeStats (`fade.*`) since the last statistics reset,
+     * then the monitor's report count (`reports`). The run-grain
+     * engine reproduces it bit for bit against the per-cycle reference
+     * when both cover the same instruction window
      * (docs/ARCHITECTURE.md, "Run-grain engine"). Call it once, after
      * the system is quiesced with drain(): it finishes the monitor
      * (end-of-run sweeps such as MemLeak's) before reading reports.
      */
-    std::vector<std::uint64_t> functionalFingerprint();
+    StatVector functionalFingerprint();
 
     /** Zero every statistics counter in the system. */
     void resetStats();
@@ -237,8 +264,6 @@ class MonitoringSystem
      *  Panics on a replay-driven system, which has none. */
     TraceGenerator &generator();
 
-    /** The replay source, or nullptr when generating live. */
-    ReplaySource *replaySource() { return replay_.get(); }
     /** Replay ran dry: no record left and nothing in flight. */
     bool replayExhausted() const;
 
@@ -264,10 +289,6 @@ class MonitoringSystem
     Monitor *monitor() { return mon_; }
     MonitorContext &context() { return ctx_; }
     const BoundedQueue<MonEvent> &eventQueue() const { return eq_; }
-    const BoundedQueue<UnfilteredEvent> &unfilteredQueue() const
-    {
-        return ueq_;
-    }
     const MonitorProcess *monitorProcess() const { return mproc_.get(); }
     Cycle now() const { return now_; }
 
@@ -294,6 +315,8 @@ class MonitoringSystem
     friend class RunGrainDriver;
 
     void tickAll();
+    /** RunResult's counters since the slice start (IPCs left 0). */
+    RunResult counters() const;
     /** Tick until @p instructions more retire (shared by warmup/run). */
     void runUntilRetired(std::uint64_t instructions, const char *what);
 

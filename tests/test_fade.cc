@@ -386,9 +386,9 @@ TEST(Suu, BulkWriteBlocks)
     Cache l2(l2Params(), nullptr, dramLatency);
     MdCache mdc(MdCacheParams{}, &l2);
     InvRegFile inv;
-    inv.write(6, 0xAB);
-    inv.write(7, 0xCD);
-    StackUpdateUnit suu(mdc, ctx.shadow, inv, 6, 7);
+    inv.write(callInvReg, 0xAB);
+    inv.write(retInvReg, 0xCD);
+    StackUpdateUnit suu(mdc, ctx.shadow, inv);
 
     suu.start(0xE0000000, 1024, true); // 256 md bytes = 4 blocks
     unsigned ticks = 0;
@@ -412,7 +412,7 @@ TEST(Suu, ZeroLengthFrameIsNoop)
     Cache l2(l2Params(), nullptr, dramLatency);
     MdCache mdc(MdCacheParams{}, &l2);
     InvRegFile inv;
-    StackUpdateUnit suu(mdc, ctx.shadow, inv, 6, 7);
+    StackUpdateUnit suu(mdc, ctx.shadow, inv);
     suu.start(0xE0000000, 0, true);
     EXPECT_FALSE(suu.busy());
 }

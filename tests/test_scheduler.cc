@@ -15,6 +15,8 @@
 #include "system/multicore.hh"
 #include "trace/profile.hh"
 
+#include "testutil.hh"
+
 namespace fade
 {
 
@@ -34,13 +36,13 @@ baseConfig(unsigned shards)
     return cfg;
 }
 
-std::vector<std::uint64_t>
+StatVector
 runOnce(MultiCoreConfig cfg)
 {
     MultiCoreSystem sys(cfg);
     sys.warmup(kWarm);
     MultiCoreResult r = sys.run(kRun);
-    return resultFingerprint(sys, r);
+    return resultStats(sys, r);
 }
 
 } // namespace
@@ -58,7 +60,7 @@ TEST(Scheduler, ParallelBitIdenticalToLockstep)
         MultiCoreConfig par = baseConfig(n);
         par.scheduler.policy = SchedulerPolicy::ParallelBatched;
         par.scheduler.hostThreads = 4;
-        EXPECT_EQ(runOnce(lock), runOnce(par));
+        EXPECT_TRUE(test::sameStats(runOnce(lock), runOnce(par)));
     }
 }
 
@@ -76,7 +78,7 @@ TEST(Scheduler, ParallelBitIdenticalAcrossSliceSizes)
         par.scheduler.policy = SchedulerPolicy::ParallelBatched;
         par.scheduler.sliceTicks = slice;
         par.scheduler.hostThreads = 3; // workers != shards on purpose
-        EXPECT_EQ(runOnce(lock), runOnce(par));
+        EXPECT_TRUE(test::sameStats(runOnce(lock), runOnce(par)));
     }
 }
 
@@ -87,7 +89,7 @@ TEST(Scheduler, ParallelDeterministicAcrossRepeatedRuns)
     MultiCoreConfig cfg = baseConfig(4);
     cfg.scheduler.policy = SchedulerPolicy::ParallelBatched;
     cfg.scheduler.hostThreads = 4;
-    EXPECT_EQ(runOnce(cfg), runOnce(cfg));
+    EXPECT_TRUE(test::sameStats(runOnce(cfg), runOnce(cfg)));
 }
 
 TEST(Scheduler, SingleShardMatchesLegacyForAnySliceAndPolicy)

@@ -3,18 +3,23 @@
  * Clustered-topology tests: flat-case bit-identity against pre-refactor
  * golden fingerprints, cross-policy/run determinism over the
  * clusters x fadesPerShard matrix, directory routing invariants,
- * rollup sums, and multi-FADE steering.
+ * rollup sums, counter names, and multi-FADE steering.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mem/directory.hh"
 #include "monitor/factory.hh"
 #include "system/multicore.hh"
 #include "trace/profile.hh"
+
+#include "testutil.hh"
 
 namespace fade
 {
@@ -41,7 +46,7 @@ fnv1a(const std::vector<std::uint64_t> &v)
 struct TopoRun
 {
     MultiCoreResult result;
-    std::vector<std::uint64_t> fingerprint;
+    StatVector fingerprint;
     std::vector<std::size_t> reports;
 };
 
@@ -63,7 +68,7 @@ runTopology(unsigned shards, const char *monitor, const char *anchor,
     sys.warmup(kWarm);
     TopoRun t;
     t.result = sys.run(kRun);
-    t.fingerprint = resultFingerprint(sys, t.result);
+    t.fingerprint = resultStats(sys, t.result);
     for (unsigned i = 0; i < sys.numShards(); ++i)
         t.reports.push_back(sys.monitor(i) ? sys.monitor(i)->reports().size()
                                            : 0);
@@ -124,7 +129,7 @@ TEST(Topology, GoldenFlatFingerprints)
                                 g.parallel
                                     ? SchedulerPolicy::ParallelBatched
                                     : SchedulerPolicy::Lockstep);
-        EXPECT_EQ(fnv1a(t.fingerprint), g.hash);
+        EXPECT_EQ(fnv1a(t.fingerprint.values), g.hash);
     }
 }
 
@@ -144,7 +149,7 @@ TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
                              SchedulerPolicy::ParallelBatched}) {
                 TopoRun t = runTopology(4, "MemLeak", "hmmer", clusters,
                                         k, pol);
-                EXPECT_EQ(t.fingerprint, ref.fingerprint)
+                EXPECT_TRUE(test::sameStats(t.fingerprint, ref.fingerprint))
                     << "policy=" << int(pol);
                 EXPECT_EQ(t.reports, ref.reports);
             }
@@ -207,6 +212,100 @@ TEST(Topology, RollupSumsOverShardsAndClusters)
         EXPECT_EQ(r.l2LocalAccesses, local);
         EXPECT_EQ(r.l2RemoteAccesses, remote);
     }
+}
+
+TEST(Topology, StatNamesAlignWithValues)
+{
+    // resultStats and functionalFingerprint give every value one
+    // unique name, and each name reads the counter it says it does:
+    // checked per listed RunResult / FadeStats counter of every shard,
+    // plus one counter of each family the fingerprint adds around
+    // them, on a clustered multi-FADE run.
+    MultiCoreConfig cfg;
+    cfg.numShards = 4;
+    cfg.monitor = "TaintCheck";
+    cfg.workloads = multiprogramWorkloads("astar");
+    cfg.topology.clusters = 2;
+    cfg.shard.fadesPerShard = 2;
+    MultiCoreSystem sys(cfg);
+    sys.warmup(2000);
+    MultiCoreResult r = sys.run(5000);
+
+    auto expectUniqueNames = [](const StatVector &v) {
+        EXPECT_EQ(v.names.size(), v.values.size());
+        std::set<std::string> unique(v.names.begin(), v.names.end());
+        EXPECT_EQ(unique.size(), v.names.size());
+    };
+    // The scalar counters of @p s, each looked up by its full name.
+    auto expectScalars = [](const StatVector &v, const std::string &prefix,
+                            const auto &s, bool functionalOnly) {
+        using T = std::decay_t<decltype(s)>;
+        T::forEachField([&](const char *name, auto member, StatKind kind) {
+            using V = std::decay_t<decltype(s.*member)>;
+            const std::string full = prefix + "." + name;
+            if constexpr (std::is_same_v<V, std::uint64_t>) {
+                if (functionalOnly && kind == StatKind::Timing) {
+                    EXPECT_EQ(std::count(v.names.begin(), v.names.end(),
+                                         full),
+                              0)
+                        << full;
+                } else {
+                    EXPECT_EQ(test::statValue(v, full), s.*member) << full;
+                }
+            }
+        });
+    };
+
+    StatVector all = resultStats(sys, r);
+    expectUniqueNames(all);
+    EXPECT_EQ(all.values, resultFingerprint(sys, r));
+    expectScalars(all, "fade", r.fade, false);
+    for (const ShardResult &s : r.shards) {
+        const std::string shard = "shard" + std::to_string(s.shard);
+        expectScalars(all, shard + ".run", s.run, false);
+        expectScalars(all, shard + ".fade", s.fade, false);
+        EXPECT_EQ(test::statValue(all, shard + ".bug_reports"),
+                  s.bugReports);
+        EXPECT_EQ(test::statValue(all, shard + ".l2_remote"), s.l2Remote);
+    }
+    EXPECT_EQ(test::statValue(all, "cycles"), r.cycles);
+    EXPECT_EQ(test::statValue(all, "events"), r.totalEvents);
+    EXPECT_EQ(test::statValue(all, "eq_occupancy.total"),
+              r.eqOccupancy.total());
+    EXPECT_EQ(test::statValue(all, "shard1.fade.unf_burst.max"),
+              r.shards[1].fade.unfBurst.maxValue());
+    EXPECT_EQ(test::statValue(all, "shard2.fade.software_by_id[1]"),
+              r.shards[2].fade.softwareById[1]);
+    EXPECT_EQ(test::statValue(all, "shard3.reports"),
+              sys.monitor(3)->reports().size());
+    EXPECT_EQ(test::statValue(all, "llc1.misses"),
+              sys.directory().slice(1).misses());
+
+    // The functional set: every Functional counter of every shard, no
+    // Timing one. functionalFingerprint() drains first, so compare
+    // against the shards' counters read after it.
+    StatVector fn = sys.functionalFingerprint();
+    expectUniqueNames(fn);
+    for (unsigned i = 0; i < sys.numShards(); ++i) {
+        const std::string shard = "shard" + std::to_string(i);
+        MonitoringSystem &s = sys.shard(i);
+        EXPECT_EQ(test::statValue(fn, shard + ".run.app_instructions"),
+                  s.retired());
+        EXPECT_EQ(test::statValue(fn, shard + ".run.monitored_events"),
+                  s.produced());
+        EXPECT_GT(s.produced(), 0u);
+        expectScalars(fn, shard + ".fade", s.fadeStats(), true);
+        EXPECT_EQ(test::statValue(fn, shard + ".reports"),
+                  sys.monitor(i)->reports().size());
+    }
+    EXPECT_EQ(std::count_if(fn.names.begin(), fn.names.end(),
+                            [](const std::string &n) {
+                                return n.find("cycles") !=
+                                           std::string::npos &&
+                                       n.find("suu_cycles") ==
+                                           std::string::npos;
+                            }),
+              0);
 }
 
 TEST(Topology, DirectoryRoutingInvariants)
@@ -317,7 +416,7 @@ TEST(Topology, MultiFadeHighLevelSerializationStaysSound)
                                    SchedulerPolicy::Lockstep);
         TopoRun par = runTopology(2, mon, "mcf", 1, 2,
                                   SchedulerPolicy::ParallelBatched, 2);
-        EXPECT_EQ(lock.fingerprint, par.fingerprint);
+        EXPECT_TRUE(test::sameStats(lock.fingerprint, par.fingerprint));
         EXPECT_EQ(lock.reports, par.reports);
     }
 }

@@ -4,8 +4,9 @@
  * wrappers used by every suite that round-trips files through disk
  * (trace capture, golden replay, threaded-matrix capture tests), the
  * unique-socket-path helper the daemon tests bind their unix sockets
- * under, and fetchOne() for tests that read an instruction source one
- * instruction at a time.
+ * under, fetchOne() for tests that read an instruction source one
+ * instruction at a time, and the named-counter comparisons
+ * (sameStats(), statValue(), dropStats()) that fingerprint tests use.
  */
 
 #ifndef FADE_TESTS_TESTUTIL_HH
@@ -18,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cpu/source.hh"
+#include "sim/stats.hh"
 
 namespace fade::test
 {
@@ -38,6 +41,60 @@ fetchOne(InstSource &src)
         return {};
     }
     return *s.data;
+}
+
+/**
+ * Success iff @p a and @p b list the same counters with the same
+ * values; a failure names the first few counters that differ
+ * ("shard0.fade.suu_cycles: 436 vs 416; ...").
+ */
+inline testing::AssertionResult
+sameStats(const StatVector &a, const StatVector &b)
+{
+    if (a.names != b.names)
+        return testing::AssertionFailure()
+               << "different counter lists (" << a.names.size() << " vs "
+               << b.names.size() << " counters)";
+    constexpr unsigned kShown = 5;
+    unsigned differ = 0;
+    testing::AssertionResult out = testing::AssertionFailure();
+    for (std::size_t i = 0; i < a.values.size(); ++i) {
+        if (a.values[i] == b.values[i])
+            continue;
+        if (differ < kShown)
+            out << (differ ? "; " : "") << a.names[i] << ": "
+                << a.values[i] << " vs " << b.values[i];
+        ++differ;
+    }
+    if (differ == 0)
+        return testing::AssertionSuccess();
+    if (differ > kShown)
+        out << "; ... (" << differ << " counters differ)";
+    return out;
+}
+
+/** The value of the counter named @p name (a test failure, and 0,
+ *  when @p v has no such counter). */
+inline std::uint64_t
+statValue(const StatVector &v, const std::string &name)
+{
+    for (std::size_t i = 0; i < v.names.size(); ++i)
+        if (v.names[i] == name)
+            return v.values[i];
+    ADD_FAILURE() << "no counter named " << name;
+    return 0;
+}
+
+/** @p v without the counters whose names @p drop selects. */
+inline StatVector
+dropStats(const StatVector &v,
+          const std::function<bool(const std::string &)> &drop)
+{
+    StatVector out;
+    for (std::size_t i = 0; i < v.names.size(); ++i)
+        if (!drop(v.names[i]))
+            out.add(v.names[i], v.values[i]);
+    return out;
 }
 
 /** Self-deleting temporary file (mkstemp-backed RAII path). */
