@@ -27,7 +27,7 @@ main()
         TextTable t;
         t.header({"monitor", "stack updates", "instr: RU-style",
                   "instr: CC-style", "high-level"});
-        for (const auto &mon : monitorNames()) {
+        for (const auto &mon : paperMonitorNames()) {
             std::array<double, 4> acc{};
             const auto &benches = benchmarksFor(mon);
             for (const auto &b : benches) {
@@ -94,7 +94,7 @@ main()
         for (const auto &b : parallelBenchmarks())
             hdr.push_back(b);
         t.header(hdr);
-        for (const auto &mon : monitorNames()) {
+        for (const auto &mon : paperMonitorNames()) {
             std::vector<std::string> row = {mon};
             const auto &benches = benchmarksFor(mon);
             for (const auto &b : specBenchmarks()) {

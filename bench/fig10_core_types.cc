@@ -32,7 +32,7 @@ main()
 
     TextTable t;
     t.header({"monitor", "system", "4-way OoO", "2-way OoO", "in-order"});
-    for (const auto &mon : monitorNames()) {
+    for (const auto &mon : paperMonitorNames()) {
         for (bool accel : {false, true}) {
             std::vector<std::string> row = {
                 mon, accel ? "FADE" : "unaccelerated"};

@@ -223,10 +223,17 @@ printManifest(const TraceManifest &m)
                 (unsigned long long)m.shardsPerCluster,
                 (unsigned long long)m.fadesPerShard,
                 (unsigned long long)m.remoteLatency);
-    std::printf("  core               %s (width %llu, rob %llu%s)\n",
+    std::printf("  core               %s (width %llu, rob %llu, mispredict "
+                "+%llu%s)\n",
                 m.coreName.c_str(), (unsigned long long)m.coreWidth,
                 (unsigned long long)m.robSize,
+                (unsigned long long)m.mispredictPenalty,
                 m.inOrder ? ", in-order" : "");
+    std::printf("  system             %s, %s, %s\n",
+                m.accelerated ? "accelerated" : "unaccelerated",
+                m.twoCore ? "two-core" : "SMT",
+                m.perfectConsumer ? "perfect consumer"
+                                  : "software consumer");
     std::printf("  queues             eq %llu, ueq %llu; slice %llu "
                 "ticks\n",
                 (unsigned long long)m.eqCapacity,

@@ -129,7 +129,7 @@ const char *reasonName(Reason r);
  * benchmark profiles) are resolved server-side against the same
  * factories the benchmark harnesses use, so a daemon session and a
  * standalone run of the same wire config are the same experiment
- * (daemon/session.hh: sessionMultiCoreConfig()).
+ * (daemon/session.hh: sessionPlan()).
  */
 struct WireSessionConfig
 {

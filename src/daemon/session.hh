@@ -179,7 +179,6 @@ class Session
      */
     void abort();
 
-    bool aborted() const { return aborted_.load(); }
     /** The session reached a terminal state (result flushed, failed,
      *  or torn down after an abort). */
     bool complete() const { return complete_.load(); }

@@ -91,11 +91,6 @@ class SessionPool
     unsigned active() const;
     unsigned maxActive() const { return cfg_.maxActive; }
 
-    /** The completion-order counter sessions stamp their Result
-     *  frames with (1-based; deterministic backpressure tests order
-     *  sessions by it). */
-    std::atomic<std::uint64_t> &completionCounter() { return seq_; }
-
   private:
     void workerLoop();
 

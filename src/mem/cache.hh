@@ -90,7 +90,6 @@ class Cache : public MemPort
      * shared L2, as distinct physical pages would.
      */
     void setAddrSalt(std::uint64_t salt) { addrSalt_ = salt; }
-    std::uint64_t addrSalt() const { return addrSalt_; }
 
     /**
      * Retarget the next level. The shard scheduler uses this to swap a

@@ -25,7 +25,6 @@ MdCache::tlbLookup(Addr appPage)
     for (auto &e : tlb_) {
         if (e.valid && e.appPage == appPage) {
             e.lru = tlbClock_;
-            ++tlbHits_;
             return true;
         }
     }
@@ -85,7 +84,7 @@ MdCache::warm(Addr appAddr)
         tlbInsert(appPage);
     cache_.touch(mdAddrOf(appAddr));
     // Warmup accesses should not perturb statistics.
-    tlbHits_ = tlbMisses_ = 0;
+    tlbMisses_ = 0;
 }
 
 void

@@ -74,7 +74,6 @@ class MdCache
 
     void flush();
 
-    std::uint64_t tlbHits() const { return tlbHits_; }
     std::uint64_t tlbMisses() const { return tlbMisses_; }
     const Cache &cache() const { return cache_; }
     const MdCacheParams &params() const { return params_; }
@@ -82,7 +81,7 @@ class MdCache
     void
     resetStats()
     {
-        tlbHits_ = tlbMisses_ = 0;
+        tlbMisses_ = 0;
         cache_.resetStats();
     }
 
@@ -101,7 +100,6 @@ class MdCache
     Cache cache_;
     std::vector<TlbEntry> tlb_;
     std::uint64_t tlbClock_ = 0;
-    std::uint64_t tlbHits_ = 0;
     std::uint64_t tlbMisses_ = 0;
 };
 

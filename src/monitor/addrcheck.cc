@@ -44,14 +44,6 @@ AddrCheck::monitored(const Instruction &inst) const
 }
 
 void
-AddrCheck::monitoredSpan(const Instruction *insts, std::size_t n,
-                         std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = AddrCheck::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 AddrCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdAllocated);
@@ -154,26 +146,13 @@ AddrCheck::buildHandlerSeq(const UnfilteredEvent &u,
 }
 
 HandlerClass
-AddrCheck::classifyHandler(const UnfilteredEvent &u,
-                           const MonitorContext &ctx) const
+AddrCheck::instHandlerClass(const UnfilteredEvent &u,
+                            const MonitorContext &ctx) const
 {
+    (void)u;
     (void)ctx;
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
     // AddrCheck instruction handlers only check; they update nothing.
     return HandlerClass::CheckOnly;
-}
-
-HandlerClass
-AddrCheck::prepareHandler(const UnfilteredEvent &u,
-                          const MonitorContext &ctx,
-                          std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    AddrCheck::buildHandlerSeq(u, ctx, out);
-    return AddrCheck::classifyHandler(u, ctx);
 }
 
 } // namespace fade

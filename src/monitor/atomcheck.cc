@@ -43,14 +43,6 @@ AtomCheck::monitored(const Instruction &inst) const
 }
 
 void
-AtomCheck::monitoredSpan(const Instruction *insts, std::size_t n,
-                        std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = AtomCheck::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 AtomCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     // INV[0] holds accessed|current-thread; rewritten on each context
@@ -245,13 +237,9 @@ AtomCheck::buildHandlerSeq(const UnfilteredEvent &u,
 }
 
 HandlerClass
-AtomCheck::classifyHandler(const UnfilteredEvent &u,
-                           const MonitorContext &ctx) const
+AtomCheck::instHandlerClass(const UnfilteredEvent &u,
+                            const MonitorContext &ctx) const
 {
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
     if (u.hwChecked)
         return u.checkPassed ? HandlerClass::Update
                              : HandlerClass::CheckOnly;
@@ -259,16 +247,6 @@ AtomCheck::classifyHandler(const UnfilteredEvent &u,
     bool same = (md & mdAccessed) &&
                 ThreadId(md & mdTidMask) == u.ev.tid;
     return same ? HandlerClass::Update : HandlerClass::CheckOnly;
-}
-
-HandlerClass
-AtomCheck::prepareHandler(const UnfilteredEvent &u,
-                          const MonitorContext &ctx,
-                          std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    AtomCheck::buildHandlerSeq(u, ctx, out);
-    return AtomCheck::classifyHandler(u, ctx);
 }
 
 } // namespace fade

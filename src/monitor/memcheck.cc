@@ -67,14 +67,6 @@ MemCheck::monitored(const Instruction &inst) const
 }
 
 void
-MemCheck::monitoredSpan(const Instruction *insts, std::size_t n,
-                       std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = MemCheck::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 MemCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdInit);
@@ -302,27 +294,13 @@ MemCheck::buildHandlerSeq(const UnfilteredEvent &u,
 }
 
 HandlerClass
-MemCheck::classifyHandler(const UnfilteredEvent &u,
-                          const MonitorContext &ctx) const
+MemCheck::instHandlerClass(const UnfilteredEvent &u,
+                           const MonitorContext &ctx) const
 {
     (void)ctx;
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
     if (u.ev.eventId == evBranch || u.ev.eventId == evJumpInd)
         return HandlerClass::CheckOnly;
     return HandlerClass::Update;
-}
-
-HandlerClass
-MemCheck::prepareHandler(const UnfilteredEvent &u,
-                         const MonitorContext &ctx,
-                         std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    MemCheck::buildHandlerSeq(u, ctx, out);
-    return MemCheck::classifyHandler(u, ctx);
 }
 
 } // namespace fade

@@ -29,19 +29,14 @@ class MemCheck : public Monitor
     std::uint8_t regMdInit() const override { return mdInit; }
 
     bool monitored(const Instruction &inst) const override;
-    void monitoredSpan(const Instruction *insts, std::size_t n,
-                       std::uint8_t *out) const override;
     void programFade(EventTable &table, InvRegFile &inv) const override;
     void initShadow(MonitorContext &ctx,
                     const WorkloadLayout &l) const override;
     void handleEvent(const UnfilteredEvent &u, MonitorContext &ctx) override;
     void buildHandlerSeq(const UnfilteredEvent &u, const MonitorContext &ctx,
                          std::vector<Instruction> &out) const override;
-    HandlerClass classifyHandler(const UnfilteredEvent &u,
-                                 const MonitorContext &ctx) const override;
-    HandlerClass prepareHandler(const UnfilteredEvent &u,
-                                const MonitorContext &ctx,
-                                std::vector<Instruction> &out) const override;
+    HandlerClass instHandlerClass(const UnfilteredEvent &u,
+                                  const MonitorContext &ctx) const override;
 };
 
 } // namespace fade

@@ -56,14 +56,6 @@ MemLeak::monitored(const Instruction &inst) const
 }
 
 void
-MemLeak::monitoredSpan(const Instruction *insts, std::size_t n,
-                      std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = MemLeak::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 MemLeak::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdNonPointer);
@@ -353,35 +345,6 @@ MemLeak::buildHandlerSeq(const UnfilteredEvent &u,
         b.alu();
         break;
     }
-}
-
-HandlerClass
-MemLeak::classifyHandler(const UnfilteredEvent &u,
-                         const MonitorContext &ctx) const
-{
-    (void)ctx;
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
-    return HandlerClass::Update;
-}
-
-void
-MemLeak::finish()
-{
-    // Allocations still referenced at exit are "still reachable", not
-    // leaks; nothing further to report under reference counting.
-}
-
-HandlerClass
-MemLeak::prepareHandler(const UnfilteredEvent &u,
-                        const MonitorContext &ctx,
-                        std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    MemLeak::buildHandlerSeq(u, ctx, out);
-    return MemLeak::classifyHandler(u, ctx);
 }
 
 } // namespace fade

@@ -47,9 +47,12 @@ enum class HandlerClass : std::uint8_t
 };
 
 /**
- * Abstract monitor. Subclasses implement the five lifeguards evaluated
- * in the paper (Section 6): AddrCheck, MemCheck, TaintCheck, MemLeak,
- * and AtomCheck.
+ * Abstract monitor. Subclasses implement the seven lifeguards: the five
+ * evaluated in the paper (Section 6) — AddrCheck, MemCheck, TaintCheck,
+ * MemLeak and AtomCheck — and the cross-shard thread monitors RaceCheck
+ * and SharedTaint. A lifeguard states its event selection once
+ * (monitored()) and its handler once (buildHandlerSeq() plus, for
+ * instruction events, instHandlerClass()).
  */
 class Monitor
 {
@@ -71,16 +74,10 @@ class Monitor
      */
     virtual bool monitored(const Instruction &inst) const = 0;
 
-    /**
-     * Batch event selection: write the monitored() verdict of each of
-     * @p n instructions into @p out (1 = monitored). Exactly
-     * equivalent to n monitored() calls — monitored() is a pure
-     * function of the instruction, so subclasses override this with a
-     * devirtualized loop and batch consumers (the run-grain span path)
-     * pay one virtual dispatch per span instead of one per
-     * instruction.
-     */
-    virtual void
+    /** Batch event selection (the run-grain span path): write the
+     *  monitored() verdict of each of @p n instructions into @p out
+     *  (1 = monitored). */
+    void
     monitoredSpan(const Instruction *insts, std::size_t n,
                   std::uint8_t *out) const
     {
@@ -124,25 +121,33 @@ class Monitor
                                  const MonitorContext &ctx,
                                  std::vector<Instruction> &out) const = 0;
 
-    /** Classify the handler for the Fig. 4(a) time breakdown. */
-    virtual HandlerClass classifyHandler(const UnfilteredEvent &u,
-                                         const MonitorContext &ctx) const;
-
     /**
-     * Fused replay entry point: start the software handler for @p u
-     * by appending its dynamic instruction sequence to @p out and
-     * returning its class — one virtual call per handler where the
-     * replay engine previously made separate buildHandlerSeq and
-     * classifyHandler round-trips. Subclasses override with qualified
-     * (devirtualized) calls to their own implementations; results must
-     * equal the two-call composition below.
+     * Start the software handler for @p u: append its dynamic
+     * instruction sequence to @p out (buildHandlerSeq) and return its
+     * class for the Fig. 4(a) time breakdown. Stack-update and
+     * high-level handlers are classified here, an instruction event's
+     * handler by instHandlerClass().
      */
-    virtual HandlerClass
+    HandlerClass
     prepareHandler(const UnfilteredEvent &u, const MonitorContext &ctx,
                    std::vector<Instruction> &out) const
     {
         buildHandlerSeq(u, ctx, out);
-        return classifyHandler(u, ctx);
+        if (u.ev.isStackUpdate())
+            return HandlerClass::StackUpdate;
+        if (u.ev.isHighLevel())
+            return HandlerClass::HighLevel;
+        return instHandlerClass(u, ctx);
+    }
+
+    /** Class of an instruction event's handler: a metadata update
+     *  unless the lifeguard says otherwise. */
+    virtual HandlerClass
+    instHandlerClass(const UnfilteredEvent &u, const MonitorContext &ctx) const
+    {
+        (void)u;
+        (void)ctx;
+        return HandlerClass::Update;
     }
 
     /**
@@ -156,7 +161,7 @@ class Monitor
         (void)inv;
     }
 
-    /** End of run (MemLeak's final reachability accounting). */
+    /** End of run (the thread monitors' log analysis). */
     virtual void finish() {}
 
     /**

@@ -37,8 +37,6 @@ MonitorProcess::startNextHandler()
     fetchIdx_ = 0;
     PendingHandler p;
     p.u = u;
-    // Single dispatch starts the handler: sequence build +
-    // classification in one virtual call (fused replay path).
     p.cls = mon_.prepareHandler(u, ctx_, seq_);
     panic_if(seq_.empty(), "monitor handler sequence must be non-empty");
     p.remaining = seq_.size();

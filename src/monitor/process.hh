@@ -108,9 +108,6 @@ class MonitorProcess : public InstSource, public CommitSink
     /** Handlers whose instructions are (partly) in flight. */
     RingDeque<PendingHandler> pending_;
 
-    ThreadId lastTid_ = 0;
-    bool seenTid_ = false;
-
     MonitorProcessStats stats_;
 };
 

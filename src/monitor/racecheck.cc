@@ -28,14 +28,6 @@ RaceCheck::monitored(const Instruction &inst) const
 }
 
 void
-RaceCheck::monitoredSpan(const Instruction *insts, std::size_t n,
-                        std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = RaceCheck::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 RaceCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, 0);
@@ -129,28 +121,6 @@ RaceCheck::buildHandlerSeq(const UnfilteredEvent &u,
     } else {
         b.alu();
     }
-}
-
-HandlerClass
-RaceCheck::classifyHandler(const UnfilteredEvent &u,
-                           const MonitorContext &ctx) const
-{
-    (void)ctx;
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
-    return HandlerClass::Update;
-}
-
-HandlerClass
-RaceCheck::prepareHandler(const UnfilteredEvent &u,
-                          const MonitorContext &ctx,
-                          std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    RaceCheck::buildHandlerSeq(u, ctx, out);
-    return RaceCheck::classifyHandler(u, ctx);
 }
 
 } // namespace fade

@@ -28,14 +28,6 @@ SharedTaint::monitored(const Instruction &inst) const
 }
 
 void
-SharedTaint::monitoredSpan(const Instruction *insts, std::size_t n,
-                          std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = SharedTaint::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 SharedTaint::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, 0);
@@ -143,28 +135,6 @@ SharedTaint::buildHandlerSeq(const UnfilteredEvent &u,
         }
         break;
     }
-}
-
-HandlerClass
-SharedTaint::classifyHandler(const UnfilteredEvent &u,
-                             const MonitorContext &ctx) const
-{
-    (void)ctx;
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
-    return HandlerClass::Update;
-}
-
-HandlerClass
-SharedTaint::prepareHandler(const UnfilteredEvent &u,
-                            const MonitorContext &ctx,
-                            std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    SharedTaint::buildHandlerSeq(u, ctx, out);
-    return SharedTaint::classifyHandler(u, ctx);
 }
 
 } // namespace fade

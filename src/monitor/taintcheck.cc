@@ -60,14 +60,6 @@ TaintCheck::monitored(const Instruction &inst) const
 }
 
 void
-TaintCheck::monitoredSpan(const Instruction *insts, std::size_t n,
-                         std::uint8_t *out) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = TaintCheck::monitored(insts[i]) ? 1 : 0;
-}
-
-void
 TaintCheck::programFade(EventTable &table, InvRegFile &inv) const
 {
     inv.write(0, mdUntainted);
@@ -235,27 +227,13 @@ TaintCheck::buildHandlerSeq(const UnfilteredEvent &u,
 }
 
 HandlerClass
-TaintCheck::classifyHandler(const UnfilteredEvent &u,
-                            const MonitorContext &ctx) const
+TaintCheck::instHandlerClass(const UnfilteredEvent &u,
+                             const MonitorContext &ctx) const
 {
     (void)ctx;
-    if (u.ev.isStackUpdate())
-        return HandlerClass::StackUpdate;
-    if (u.ev.isHighLevel())
-        return HandlerClass::HighLevel;
     if (u.ev.eventId == evJumpInd)
         return HandlerClass::CheckOnly;
     return HandlerClass::Update;
-}
-
-HandlerClass
-TaintCheck::prepareHandler(const UnfilteredEvent &u,
-                           const MonitorContext &ctx,
-                           std::vector<Instruction> &out) const
-{
-    // Qualified calls: devirtualized single-dispatch replay path.
-    TaintCheck::buildHandlerSeq(u, ctx, out);
-    return TaintCheck::classifyHandler(u, ctx);
 }
 
 } // namespace fade

@@ -6,14 +6,15 @@
  * pointer/taint word mirrors, the monitors' per-word side tables, the
  * shadow memory's page directory) was built on libstdc++'s node-based
  * `std::unordered_{set,map}`, which allocates one heap node per element
- * and chases a pointer per lookup. AddrSet / AddrMap replace them with
- * flat power-of-two tables: Fibonacci hashing, linear probing, and
- * backward-shift deletion (no tombstones), so the common
- * insert/count/erase cycle touches one or two contiguous cache lines
- * and never allocates after the table has grown to its working size.
+ * and chases a pointer per lookup. AddrMap replaces them with flat
+ * power-of-two tables (word sets use sim/wordset.hh): Fibonacci
+ * hashing, linear probing, and backward-shift deletion (no
+ * tombstones), so the common insert/find/erase cycle touches one or
+ * two contiguous cache lines and never allocates after the table has
+ * grown to its working size.
  *
  * Determinism contract: these containers are used only through
- * order-independent operations (insert/erase/count/find/size). Nothing
+ * order-independent operations (insert/erase/find/size). Nothing
  * simulation-visible may depend on slot order; forEach() exists for
  * tests and whole-table maintenance whose outcome is order-invariant.
  */
@@ -45,205 +46,12 @@ mixAddr(Addr k)
 } // namespace flat_detail
 
 /**
- * Flat hash set of addresses. Capacity is a power of two; the key
- * ~Addr(0) is reserved as the empty-slot sentinel (no simulator address
- * space uses it: application addresses stay far below 2^63 and metadata
- * addresses live at mdBase + appAddr/wordSize).
- */
-class AddrSet
-{
-  public:
-    explicit AddrSet(std::size_t expected = 0)
-    {
-        rehash(tableFor(expected));
-    }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    bool
-    contains(Addr k) const
-    {
-        std::size_t i = home(k);
-        while (slots_[i] != kEmpty) {
-            if (slots_[i] == k)
-                return true;
-            i = (i + 1) & mask_;
-        }
-        return false;
-    }
-
-    /** unordered_set-compatible membership test (0 or 1). */
-    std::size_t count(Addr k) const { return contains(k) ? 1 : 0; }
-
-    /** @return true when @p k was newly inserted. */
-    bool
-    insert(Addr k)
-    {
-        panic_if(k == kEmpty, "AddrSet: reserved sentinel key");
-        std::size_t i = home(k);
-        while (slots_[i] != kEmpty) {
-            if (slots_[i] == k)
-                return false;
-            i = (i + 1) & mask_;
-        }
-        slots_[i] = k;
-        ++size_;
-        if (overloaded()) {
-            rehash(slots_.size() * 2);
-        }
-        return true;
-    }
-
-    /** @return true when @p k was present and removed. */
-    bool
-    erase(Addr k)
-    {
-        panic_if(k == kEmpty, "AddrSet: reserved sentinel key");
-        std::size_t i = home(k);
-        while (slots_[i] != k) {
-            if (slots_[i] == kEmpty)
-                return false;
-            i = (i + 1) & mask_;
-        }
-        shiftErase(i);
-        --size_;
-        return true;
-    }
-
-    /**
-     * Erase every key in [lo, hi) that lies on the @p stride grid
-     * anchored at @p lo. Equivalent to `for (a = lo; a < hi; a +=
-     * stride) erase(a)`, but when the range holds more grid points than
-     * the set holds keys, the table is scanned once instead of probing
-     * per grid point — large frees and deep stack pops stop paying per
-     * untouched word. The resulting set is identical either way.
-     */
-    void
-    eraseRange(Addr lo, Addr hi, Addr stride)
-    {
-        if (hi <= lo || size_ == 0)
-            return;
-        // Probing visits ~2 scattered lines per grid point; a scan
-        // walks the whole table sequentially once. Cross over when the
-        // range is a sizable fraction of the table.
-        std::uint64_t points = (hi - lo + stride - 1) / stride;
-        if (points * 4 <= slots_.size()) {
-            for (Addr a = lo; a < hi; a += stride)
-                erase(a);
-            return;
-        }
-        // Scan mode: collect matches first (backward-shift erase moves
-        // survivors between slots, so erasing during the scan could
-        // skip keys that wrap around the table), then erase them.
-        scratch_.clear();
-        for (Addr k : slots_) {
-            if (k != kEmpty && k >= lo && k < hi &&
-                (k - lo) % stride == 0) {
-                scratch_.push_back(k);
-            }
-        }
-        for (Addr k : scratch_)
-            erase(k);
-    }
-
-    void
-    clear()
-    {
-        if (size_ == 0)
-            return;
-        slots_.assign(slots_.size(), kEmpty);
-        size_ = 0;
-    }
-
-    /** Visit every key (order unspecified; tests / maintenance only —
-     *  nothing simulation-visible may depend on the visit order). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (Addr k : slots_) {
-            if (k != kEmpty)
-                fn(k);
-        }
-    }
-
-    /** Slots allocated (diagnostics). */
-    std::size_t capacity() const { return slots_.size(); }
-
-  private:
-    static constexpr Addr kEmpty = ~Addr(0);
-    static constexpr std::size_t kMinSlots = 16;
-
-    static std::size_t
-    tableFor(std::size_t expected)
-    {
-        std::size_t n = kMinSlots;
-        // Grow threshold is 5/8 load; size the table below it.
-        while (expected * 8 >= n * 5)
-            n *= 2;
-        return n;
-    }
-
-    std::size_t home(Addr k) const
-    {
-        return std::size_t(flat_detail::mixAddr(k)) & mask_;
-    }
-
-    bool overloaded() const { return size_ * 8 >= slots_.size() * 5; }
-
-    /** Backward-shift deletion: close the hole at @p i by moving each
-     *  following cluster element whose home lies at or before the hole
-     *  (cyclically), preserving every probe invariant without
-     *  tombstones. */
-    void
-    shiftErase(std::size_t i)
-    {
-        std::size_t hole = i;
-        std::size_t j = i;
-        for (;;) {
-            j = (j + 1) & mask_;
-            Addr k = slots_[j];
-            if (k == kEmpty)
-                break;
-            std::size_t h = home(k);
-            // Move k into the hole unless its home lies cyclically
-            // inside (hole, j] — then k is already at or past home.
-            if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-                slots_[hole] = k;
-                hole = j;
-            }
-        }
-        slots_[hole] = kEmpty;
-    }
-
-    void
-    rehash(std::size_t newSlots)
-    {
-        std::vector<Addr> old = std::move(slots_);
-        slots_.assign(newSlots, kEmpty);
-        mask_ = newSlots - 1;
-        for (Addr k : old) {
-            if (k == kEmpty)
-                continue;
-            std::size_t i = home(k);
-            while (slots_[i] != kEmpty)
-                i = (i + 1) & mask_;
-            slots_[i] = k;
-        }
-    }
-
-    std::vector<Addr> slots_;
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-    /** Reused by eraseRange's scan mode (no per-call allocation). */
-    std::vector<Addr> scratch_;
-};
-
-/**
- * Flat hash map from addresses to @p V, with the same table layout and
- * deletion scheme as AddrSet. V must be default-constructible and
- * movable (values move during rehash and backward-shift deletion).
+ * Flat hash map from addresses to @p V. Capacity is a power of two; the
+ * key ~Addr(0) is reserved as the empty-slot sentinel (no simulator
+ * address space uses it: application addresses stay far below 2^63 and
+ * metadata addresses live at mdBase + appAddr/wordSize). V must be
+ * default-constructible and movable (values move during rehash and
+ * backward-shift deletion).
  */
 template <typename V>
 class AddrMap
@@ -323,7 +131,9 @@ class AddrMap
         size_ = 0;
     }
 
-    /** Visit every (key, value) pair (order unspecified; see AddrSet). */
+    /** Visit every (key, value) pair (order unspecified; tests /
+     *  maintenance only — nothing simulation-visible may depend on the
+     *  visit order). */
     template <typename Fn>
     void
     forEach(Fn &&fn)
@@ -353,6 +163,7 @@ class AddrMap
     tableFor(std::size_t expected)
     {
         std::size_t n = kMinSlots;
+        // Grow threshold is 5/8 load; size the table below it.
         while (expected * 8 >= n * 5)
             n *= 2;
         return n;
@@ -377,6 +188,10 @@ class AddrMap
         return npos;
     }
 
+    /** Backward-shift deletion: close the hole at @p i by moving each
+     *  following cluster element whose home lies at or before the hole
+     *  (cyclically), preserving every probe invariant without
+     *  tombstones. */
     void
     shiftErase(std::size_t i)
     {
@@ -388,6 +203,8 @@ class AddrMap
             if (k == kEmpty)
                 break;
             std::size_t h = home(k);
+            // Move k into the hole unless its home lies cyclically
+            // inside (hole, j] — then k is already at or past home.
             if (((j - h) & mask_) >= ((j - hole) & mask_)) {
                 keys_[hole] = k;
                 vals_[hole] = std::move(vals_[j]);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Error and status reporting in the gem5 idiom: panic() for internal
- * simulator bugs, fatal() for user/configuration errors, warn() and
- * inform() for status messages that never stop the simulation.
+ * simulator bugs, fatal() for user/configuration errors, warn() for
+ * status messages that never stop the simulation.
  */
 
 #ifndef FADE_SIM_LOGGING_HH
@@ -88,14 +88,6 @@ void
 warn(const Args &...args)
 {
     std::fprintf(stderr, "warn: %s\n", log_detail::str(args...).c_str());
-}
-
-/** Purely informative status message. */
-template <typename... Args>
-void
-inform(const Args &...args)
-{
-    std::fprintf(stderr, "info: %s\n", log_detail::str(args...).c_str());
 }
 
 } // namespace fade

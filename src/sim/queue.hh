@@ -8,11 +8,8 @@
  * Storage is a ring buffer (bounded queues allocate exactly once, at
  * construction; unbounded queues grow by doubling), replacing the
  * per-block churn of the previous std::deque implementation on the
- * event-transport hot path. pushRun()/popRun() provide bulk
- * transport; both are element-for-element equivalent to a loop of
- * push()/pop() calls — identical rejection accounting and identical
- * per-event occupancy sampling — so callers built on bulk transport
- * stay bit-identical to per-element execution.
+ * event-transport hot path. popRun() retires several entries at once
+ * and is accounted exactly as that many pop() calls.
  */
 
 #ifndef FADE_SIM_QUEUE_HH
@@ -92,24 +89,6 @@ class BoundedQueue
         return slot;
     }
 
-    /**
-     * Append a run of entries, each with exactly the accounting of an
-     * individual push(): entries are accepted until the queue fills,
-     * every accepted entry samples the occupancy it observes, and every
-     * entry past the fill point counts one rejection.
-     * @return the number of entries accepted.
-     */
-    template <typename InputIt>
-    std::size_t
-    pushRun(InputIt first, InputIt last)
-    {
-        std::size_t accepted = 0;
-        for (; first != last; ++first)
-            if (push(*first))
-                ++accepted;
-        return accepted;
-    }
-
     /** Front entry; queue must be non-empty. */
     const T &
     front() const
@@ -149,21 +128,6 @@ class BoundedQueue
     {
         std::size_t k = n < count_ ? n : count_;
         head_ = wrap(head_ + k);
-        count_ -= k;
-        pops_ += k;
-        return k;
-    }
-
-    /** Remove up to @p n front entries into @p out (FIFO order). */
-    template <typename OutputIt>
-    std::size_t
-    popRun(std::size_t n, OutputIt out)
-    {
-        std::size_t k = n < count_ ? n : count_;
-        for (std::size_t i = 0; i < k; ++i) {
-            *out++ = std::move(buf_[head_]);
-            head_ = wrap(head_ + 1);
-        }
         count_ -= k;
         pops_ += k;
         return k;

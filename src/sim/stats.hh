@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics containers: running scalar statistics, log2
- * histograms (used for queue-occupancy CDFs, Fig. 3 of the paper), and
- * linear histograms for burst/distance distributions (Fig. 4).
+ * Lightweight statistics containers: running scalar statistics and
+ * log2 histograms (queue-occupancy CDFs, Fig. 3 of the paper, and the
+ * burst/distance distributions of Fig. 4).
  *
  * Counter structs (FadeStats, RunResult) list their members once, in a
  * static forEachField(f) that calls f(name, &T::member, StatKind) per
@@ -190,63 +190,6 @@ class Log2Histogram
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t max_ = 0;
-};
-
-/** Fixed-width linear histogram with an overflow bucket. */
-class LinearHistogram
-{
-  public:
-    explicit LinearHistogram(std::uint64_t bucketWidth = 1,
-                             unsigned numBuckets = 64)
-        : width_(bucketWidth ? bucketWidth : 1),
-          counts_(numBuckets + 1, 0)
-    {}
-
-    void
-    sample(std::uint64_t v, std::uint64_t weight = 1)
-    {
-        std::uint64_t b = v / width_;
-        if (b >= counts_.size() - 1)
-            b = counts_.size() - 1;
-        counts_[b] += weight;
-        total_ += weight;
-        stat_.sample(static_cast<double>(v));
-    }
-
-    std::uint64_t total() const { return total_; }
-    const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    const RunningStat &stat() const { return stat_; }
-
-    /**
-     * Fraction of samples falling in buckets wholly at or below @p v
-     * (the overflow bucket is never included).
-     */
-    double
-    cdfAt(std::uint64_t v) const
-    {
-        if (total_ == 0)
-            return 1.0;
-        std::uint64_t acc = 0;
-        for (std::size_t b = 0; b + 1 < counts_.size(); ++b) {
-            if ((b + 1) * width_ - 1 <= v)
-                acc += counts_[b];
-        }
-        return static_cast<double>(acc) / total_;
-    }
-
-    void
-    reset()
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-        total_ = 0;
-        stat_.reset();
-    }
-
-  private:
-    std::uint64_t width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-    RunningStat stat_;
 };
 
 /**

@@ -61,33 +61,19 @@ class EventProducer : public CommitSink
     void pause(bool p) { paused_ = p; }
 
     /**
-     * Run-grain fast path: retire @p inst with the monitored verdict
-     * already decided by the caller (one Monitor::monitored() query per
-     * retirement, exactly like commit()). The caller has already
-     * applied event-queue backpressure in its timing model, so the
-     * commit always succeeds.
-     */
-    void
-    commitDecided(const Instruction &inst, bool monitored)
-    {
-        ++retired_;
-        if (mon_ && eq_)
-            produce(inst, monitored);
-    }
-
-    /**
-     * Bulk span extraction (run-grain span path): retire @p n
+     * Bulk span extraction (the run-grain engine): retire @p n
      * instructions at once, with verdicts @p mv already decided
      * (Monitor::monitoredSpan), building the events of every monitored
      * one into @p out instead of the bound queue. Returns the number
-     * of events written. Functionally identical to n commitDecided()
+     * of events written. Functionally identical to n accepted commit()
      * calls — same retired/produced accounting, same seq numbering,
      * same per-instruction thread-switch tracking — except that the
      * events land in the caller's flat buffer: the caller owns the
-     * modeled queue accounting (the run-grain driver drives the
-     * architectural EQ statistics from modeled time) and must process
-     * the events in order. Callers segment spans at thread switches
-     * when INV-RF updates must stay ordered against event processing
+     * queue (the run-grain driver drives the architectural EQ
+     * statistics from modeled time, or pushes each event into the EQ
+     * for an unaccelerated monitor process) and must process the
+     * events in order. Callers segment spans at thread switches when
+     * INV-RF updates must stay ordered against event processing
      * (system/rungrain.cc does).
      */
     std::size_t

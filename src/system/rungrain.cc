@@ -138,6 +138,17 @@ void
 RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
 {
     ++stats_.events;
+
+    if (unaccel_) {
+        // The monitor process pops the real EQ itself; its handler
+        // start is the modeled pop.
+        MonEvent *slot = sys_.eq_.pushSlot();
+        panic_if(!slot, "event queue push past a full queue");
+        *slot = ev;
+        recordEqPop(runHandler(commit).start);
+        return;
+    }
+
     accountEqPush(commit);
 
     if (perfect_) {
@@ -229,34 +240,6 @@ RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
 }
 
 void
-RunGrainDriver::processInst(const Instruction &inst)
-{
-    bool monitored = sys_.mon_->monitored(inst);
-    unsigned lat = appCore_->runGrainExecLatency(inst);
-    Cycle sinkGate = monitored ? eqGate() : 0;
-    RunGrainThread::Retire r = appT_.retire(inst, lat, 0, sinkGate);
-
-    ThreadStats &as = appCore_->runGrainThreadStats(0);
-    ++as.retired;
-    as.sinkStallCycles += r.sinkWait;
-    as.robFullCycles += r.robWait;
-    as.fetchBubbleCycles += r.fetchWait;
-    stats_.cyclesFastForwarded += r.sinkWait + r.robWait + r.fetchWait;
-    ++stats_.instructions;
-
-    producer_->commitDecided(inst, monitored);
-
-    if (!monitored)
-        return;
-
-    // The monitor process pops the raw EQ itself; its handler start is
-    // the modeled pop.
-    ++stats_.events;
-    HandlerSpan h = runHandler(r.committed);
-    recordEqPop(h.start);
-}
-
-void
 RunGrainDriver::processSpan(const Instruction *insts, std::size_t n)
 {
     Monitor *mon = sys_.mon_;
@@ -277,37 +260,23 @@ RunGrainDriver::processSpan(const Instruction *insts, std::size_t n)
             ++e;
 
         // Functional: bulk event extraction for the segment.
-        std::size_t nev = producer_->commitSpan(
-            insts + s, verdicts_ + s, e - s, spanEvents_);
-        (void)nev;
+        producer_->commitSpan(insts + s, verdicts_ + s, e - s, spanEvents_);
 
         // Timing: retire recurrences with each event processed at its
         // own retire point (eqGate() ordering).
         std::size_t ev = 0;
-        if (!mon) {
-            for (std::size_t i = s; i < e; ++i) {
-                unsigned lat = appCore_->runGrainExecLatency(insts[i]);
-                RunGrainThread::Retire r =
-                    appT_.retire(insts[i], lat, 0, 0);
-                as.sinkStallCycles += r.sinkWait;
-                as.robFullCycles += r.robWait;
-                as.fetchBubbleCycles += r.fetchWait;
-                ff += r.sinkWait + r.robWait + r.fetchWait;
-            }
-        } else {
-            for (std::size_t i = s; i < e; ++i) {
-                bool monitored = verdicts_[i] != 0;
-                unsigned lat = appCore_->runGrainExecLatency(insts[i]);
-                Cycle sinkGate = monitored ? eqGate() : 0;
-                RunGrainThread::Retire r =
-                    appT_.retire(insts[i], lat, 0, sinkGate);
-                as.sinkStallCycles += r.sinkWait;
-                as.robFullCycles += r.robWait;
-                as.fetchBubbleCycles += r.fetchWait;
-                ff += r.sinkWait + r.robWait + r.fetchWait;
-                if (monitored)
-                    processEvent(spanEvents_[ev++], r.committed);
-            }
+        for (std::size_t i = s; i < e; ++i) {
+            bool monitored = mon && verdicts_[i];
+            unsigned lat = appCore_->runGrainExecLatency(insts[i]);
+            Cycle sinkGate = monitored ? eqGate() : 0;
+            RunGrainThread::Retire r =
+                appT_.retire(insts[i], lat, 0, sinkGate);
+            as.sinkStallCycles += r.sinkWait;
+            as.robFullCycles += r.robWait;
+            as.fetchBubbleCycles += r.fetchWait;
+            ff += r.sinkWait + r.robWait + r.fetchWait;
+            if (monitored)
+                processEvent(spanEvents_[ev++], r.committed);
         }
         s = e;
     }
@@ -337,12 +306,7 @@ RunGrainDriver::runUntil(std::uint64_t maxCycles,
             std::size_t(std::min<std::uint64_t>(want, kStageRun)));
         if (span.empty())
             break;
-        if (unaccel_) {
-            for (const Instruction &inst : span)
-                processInst(inst);
-        } else {
-            processSpan(span.data, span.count);
-        }
+        processSpan(span.data, span.count);
     }
 
     Cycle frontier = appT_.lastCommit() + 1;

@@ -139,25 +139,21 @@ class RunGrainDriver
         Cycle freeAt = 0;
     };
 
-    /** Unaccelerated shards: process one application instruction end
-     *  to end (timing recurrence, event push into the real EQ, and the
-     *  monitor process's pop of it plus its handler). */
-    void processInst(const Instruction &inst);
-
     /**
-     * Accelerated, perfect-consumer and unmonitored shards: process a
-     * span of @p n fetched instructions. Verdicts are decided for the
-     * whole span up front (monitoredSpan), events are extracted in
-     * bulk per same-tid segment (commitSpan into the flat event
-     * buffer), and the timing recurrences then run over the span with
-     * each event processed at its retire point (eqGate() for a
+     * Process a span of @p n fetched instructions. Verdicts are
+     * decided for the whole span up front (monitoredSpan), events are
+     * extracted in bulk per same-tid segment (commitSpan into the flat
+     * event buffer), and the timing recurrences then run over the span
+     * with each event processed at its retire point (eqGate() for a
      * monitored instruction must see the modeled pops of every earlier
      * event, and INV-RF thread switches must stay ordered against
      * event processing, hence the tid segmentation).
      */
     void processSpan(const Instruction *insts, std::size_t n);
 
-    /** Accelerated path: one produced event through the FadeGroup. */
+    /** One produced event, retired at @p commit: through the
+     *  FadeGroup (accelerated), the ideal consumer (perfect), or the
+     *  real EQ and its handler (unaccelerated). */
     void processEvent(const MonEvent &ev, Cycle commit);
 
     /** Run the pending software handler to completion on the monitor

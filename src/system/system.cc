@@ -212,12 +212,6 @@ MonitoringSystem::tickAll()
 }
 
 void
-MonitoringSystem::tickOnce()
-{
-    tickAll();
-}
-
-void
 MonitoringSystem::drain()
 {
     // Let in-flight events and handlers complete so that measurement

@@ -58,7 +58,7 @@ class TraceWriter;
 enum class Engine : std::uint8_t
 {
     /** Reference semantics: every component ticks every cycle
-     *  (tickOnce()). */
+     *  (advance() steps the per-cycle loop). */
     PerCycle,
     /** Run-grain engine (system/rungrain.hh): closed-form dispatch /
      *  commit / filter-pipeline timing between monitor-visible events;
@@ -210,13 +210,13 @@ class MonitoringSystem
     /**
      * Externally driven slice protocol (used by the shard scheduler,
      * which drives shards in bounded slices): beginSlice() zeroes
-     * statistics and marks the slice start; the driver then ticks via
-     * tickOnce() until retired() reaches its target; endSlice()
+     * statistics and marks the slice start; the driver then calls
+     * advance() until retired() reaches its target; endSlice()
      * collects the results exactly as run() does. run() itself is
      * implemented on top of these.
      *
      * Thread-safety contract: a system instance is single-threaded.
-     * The parallel scheduler may call tickOnce() from a worker thread
+     * The parallel scheduler may call advance() from a worker thread
      * because each shard is self-contained except for the shared L2,
      * which it reaches through a SliceL2View (see setL2Port); the L2
      * itself is only mutated at slice barriers. beginSlice(),
@@ -295,9 +295,6 @@ class MonitoringSystem
     /** The run-grain driver, or nullptr unless Engine::RunGrain
      *  (include system/rungrain.hh to use). */
     const RunGrainDriver *runGrainDriver() const { return rg_.get(); }
-
-    /** Advance the whole system by one cycle (tests). */
-    void tickOnce();
 
     /**
      * Advance by at most @p maxCycles cycles, stopping as soon as

@@ -33,15 +33,6 @@ namespace
 {
 
 std::vector<Addr>
-sortedKeys(const AddrSet &s)
-{
-    std::vector<Addr> v;
-    s.forEach([&](Addr k) { v.push_back(k); });
-    std::sort(v.begin(), v.end());
-    return v;
-}
-
-std::vector<Addr>
 sortedKeys(const std::unordered_set<Addr> &s)
 {
     std::vector<Addr> v(s.begin(), s.end());
@@ -59,81 +50,6 @@ sortedKeys(const WordSet &s)
 }
 
 } // namespace
-
-TEST(AddrSet, RandomizedDifferentialAgainstStdSet)
-{
-    Rng rng(7);
-    AddrSet flat;
-    std::unordered_set<Addr> ref;
-    // Small key space: dense collisions, long probe chains, repeated
-    // erase/reinsert of the same keys across several growth steps.
-    for (int k = 0; k < 200000; ++k) {
-        Addr key = Addr(rng.range(4096)) * wordSize;
-        switch (rng.range(3)) {
-          case 0:
-            ASSERT_EQ(flat.insert(key), ref.insert(key).second);
-            break;
-          case 1:
-            ASSERT_EQ(flat.erase(key), ref.erase(key) != 0);
-            break;
-          default:
-            ASSERT_EQ(flat.count(key), ref.count(key));
-            break;
-        }
-        ASSERT_EQ(flat.size(), ref.size());
-    }
-    EXPECT_EQ(sortedKeys(flat), sortedKeys(ref));
-}
-
-TEST(AddrSet, EraseDuringGrowth)
-{
-    // Interleave erases with the inserts that drive every growth step:
-    // backward-shift deletion must stay correct while clusters are
-    // rebuilt, including around the rehash boundaries.
-    AddrSet flat;
-    std::unordered_set<Addr> ref;
-    for (Addr i = 0; i < 20000; ++i) {
-        Addr key = i * wordSize;
-        flat.insert(key);
-        ref.insert(key);
-        if (i % 2 == 1) {
-            Addr dead = (i / 2) * wordSize;
-            ASSERT_EQ(flat.erase(dead), ref.erase(dead) != 0);
-        }
-        if (i % 1024 == 0) {
-            ASSERT_EQ(flat.size(), ref.size());
-        }
-    }
-    EXPECT_EQ(sortedKeys(flat), sortedKeys(ref));
-    // Everything erased exactly once more.
-    std::size_t erased = 0;
-    for (Addr i = 0; i < 20000; ++i)
-        erased += flat.erase(i * wordSize);
-    EXPECT_EQ(erased, ref.size());
-    EXPECT_TRUE(flat.empty());
-}
-
-TEST(AddrSet, EraseRangeMatchesPerWordErase)
-{
-    // Both strategies (probe-per-point and table scan) must yield the
-    // set a per-word erase loop yields.
-    for (std::uint64_t rangeWords : {8ull, 64ull, 4096ull}) {
-        Rng rng(11);
-        AddrSet a;
-        std::unordered_set<Addr> ref;
-        for (int k = 0; k < 5000; ++k) {
-            Addr key = Addr(rng.range(1u << 14)) * wordSize;
-            a.insert(key);
-            ref.insert(key);
-        }
-        Addr lo = 1024 * wordSize;
-        Addr hi = lo + rangeWords * wordSize;
-        a.eraseRange(lo, hi, wordSize);
-        for (Addr w = lo; w < hi; w += wordSize)
-            ref.erase(w);
-        EXPECT_EQ(sortedKeys(a), sortedKeys(ref)) << rangeWords;
-    }
-}
 
 TEST(AddrMap, RandomizedDifferentialAgainstStdMap)
 {

@@ -1,15 +1,19 @@
-/** @file Functional tests for the five lifeguards. */
+/** @file Functional tests for the lifeguards. */
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/filter_logic.hh"
-#include "sim/random.hh"
 #include "monitor/addrcheck.hh"
 #include "monitor/atomcheck.hh"
 #include "monitor/factory.hh"
 #include "monitor/memcheck.hh"
 #include "monitor/memleak.hh"
+#include "monitor/process.hh"
 #include "monitor/taintcheck.hh"
+#include "sim/random.hh"
+#include "system/multicore.hh"
 #include "system/system.hh"
 #include "trace/profile.hh"
 
@@ -503,5 +507,88 @@ TEST_P(FilterSoundness, FilteredImpliesNoMetadataChange)
 INSTANTIATE_TEST_SUITE_P(Monitors, FilterSoundness,
                          ::testing::Values("AddrCheck", "MemCheck",
                                            "TaintCheck", "MemLeak"));
+
+// --------------------------------------------- handler classification
+
+/**
+ * Handler classes (Fig. 4(a)'s breakdown) pinned per lifeguard. No
+ * fingerprint includes HandlerClass or instrByClass, so this is their
+ * check. Each lifeguard runs unaccelerated and accelerated on both
+ * engines over a short window from a cold start; the thread monitors
+ * run on a threaded process, whose sync plan a warmup would consume.
+ * The window's handler count, handler instructions and instructions
+ * by class must equal constants captured before Monitor classified
+ * stack-update and high-level handlers itself.
+ */
+TEST(HandlerClassification, PinnedPerLifeguard)
+{
+    constexpr std::uint64_t kWindow = 20000;
+    struct Row
+    {
+        const char *monitor;
+        bool accelerated;
+        Engine engine;
+        std::uint64_t handlers;
+        std::uint64_t instructions;
+        /** Indexed by HandlerClass: CheckOnly, Update, StackUpdate,
+         *  HighLevel. */
+        std::array<std::uint64_t, 4> byClass;
+    };
+    const Engine P = Engine::PerCycle, R = Engine::RunGrain;
+    const Row rows[] = {
+        {"AddrCheck", false, P, 4838, 40183, {31805, 0, 7076, 1302}},
+        {"AddrCheck", false, R, 4866, 39270, {30828, 0, 7140, 1302}},
+        {"AddrCheck", true, P, 58, 1302, {0, 0, 0, 1302}},
+        {"AddrCheck", true, R, 58, 1302, {0, 0, 0, 1302}},
+        {"MemCheck", false, P, 10461, 117902, {1376, 108130, 7094, 1302}},
+        {"MemCheck", false, R, 10498, 118316, {1392, 108482, 7140, 1302}},
+        {"MemCheck", true, P, 1717, 14574, {0, 13272, 0, 1302}},
+        {"MemCheck", true, R, 1719, 14590, {0, 13288, 0, 1302}},
+        {"TaintCheck", false, P, 10416, 118158, {1892, 108884, 7094, 288}},
+        {"TaintCheck", false, R, 10453, 118586, {1914, 109244, 7140, 288}},
+        {"TaintCheck", true, P, 13, 288, {0, 0, 0, 288}},
+        {"TaintCheck", true, R, 13, 288, {0, 0, 0, 288}},
+        {"MemLeak", false, P, 10289, 234753, {0, 226093, 7094, 1566}},
+        {"MemLeak", false, R, 10324, 235532, {0, 226826, 7140, 1566}},
+        {"MemLeak", true, P, 3264, 62480, {0, 60914, 0, 1566}},
+        {"MemLeak", true, R, 3324, 63620, {0, 62054, 0, 1566}},
+        {"AtomCheck", false, P, 4253, 153947, {97411, 53072, 3464, 0}},
+        {"AtomCheck", false, R, 4287, 155043, {97650, 53909, 3484, 0}},
+        {"AtomCheck", true, P, 4028, 57537, {43719, 13818, 0, 0}},
+        {"AtomCheck", true, R, 4064, 58087, {44175, 13912, 0, 0}},
+        {"RaceCheck", false, P, 304, 4146, {0, 1460, 0, 2686}},
+        {"RaceCheck", false, R, 304, 4146, {0, 1460, 0, 2686}},
+        {"RaceCheck", true, P, 304, 4146, {0, 1460, 0, 2686}},
+        {"RaceCheck", true, R, 304, 4146, {0, 1460, 0, 2686}},
+        {"SharedTaint", false, P, 306, 2912, {0, 1314, 0, 1598}},
+        {"SharedTaint", false, R, 306, 2912, {0, 1314, 0, 1598}},
+        {"SharedTaint", true, P, 306, 2912, {0, 1314, 0, 1598}},
+        {"SharedTaint", true, R, 306, 2912, {0, 1314, 0, 1598}},
+    };
+    for (const Row &r : rows) {
+        const std::string mon = r.monitor;
+        SCOPED_TRACE(mon + (r.accelerated ? " accelerated " : " ") +
+                     engineName(r.engine));
+        BenchProfile p = specProfile("gcc");
+        if (mon == "AtomCheck")
+            p = parallelProfile("ocean");
+        if (mon == "RaceCheck" || mon == "SharedTaint") {
+            p = threadedProfile("ocean");
+            p.injectRaces = 2;
+            p.injectTaintFlows = 2;
+        }
+        MultiCoreConfig cfg;
+        cfg.monitor = mon;
+        cfg.engine = r.engine;
+        cfg.shard.accelerated = r.accelerated;
+        cfg.workloads = {p};
+        MultiCoreSystem sys(cfg);
+        sys.run(kWindow);
+        const MonitorProcessStats &s = sys.shard(0).monitorProcess()->stats();
+        EXPECT_EQ(s.handlers, r.handlers);
+        EXPECT_EQ(s.instructions, r.instructions);
+        EXPECT_EQ(s.instrByClass, r.byClass);
+    }
+}
 
 } // namespace fade

@@ -20,7 +20,7 @@
  *  - capture through the span tee and replay through block-decoded
  *    spans reproduce the live stream record for record;
  *  - bulk event extraction (EventProducer::commitSpan) emits exactly
- *    the events per-instruction commitDecided() does, event for event.
+ *    the events the per-cycle commit() does, event for event.
  */
 
 #include <gtest/gtest.h>
@@ -261,9 +261,10 @@ TEST(SpanPathTrace, CaptureReplayRoundTrip)
 }
 
 /** Bulk extraction (EventProducer::commitSpan, the run-grain span
- *  path) emits exactly the events per-instruction commitDecided()
- *  pushes, event for event, and decides the same verdicts through
- *  Monitor::monitoredSpan as per-instruction monitored(). The window
+ *  path) emits exactly the events the per-cycle commit() pushes, one
+ *  instruction at a time, event for event, and decides the same
+ *  verdicts through Monitor::monitoredSpan as per-instruction
+ *  monitored(). The window
  *  is a four-thread profile with injected bugs, so thread switches,
  *  instruction, stack and high-level events all occur. */
 TEST(SpanPathExtraction, CommitSpanMatchesPerInstruction)
@@ -294,7 +295,7 @@ TEST(SpanPathExtraction, CommitSpanMatchesPerInstruction)
             for (std::size_t i = 0; i < s.count; ++i) {
                 bool monitored = oneMon->monitored(s.data[i]);
                 ASSERT_EQ(monitored, verdicts[i] != 0);
-                one.commitDecided(s.data[i], monitored);
+                ASSERT_TRUE(one.commit(s.data[i]));
                 if (oneEq.empty())
                     continue;
                 ASSERT_LT(e, nev);
