@@ -7,6 +7,9 @@
  *   faded --socket PATH [--max-sessions N] [--workers N]
  *         [--quantum EPOCHS] [--out-frames N] [--upload-dir DIR]
  *
+ * --workers defaults to the CPUs this process may run on
+ * (fade::hostCpuCount()); the banner prints the count in use.
+ *
  * Drive it with bench/faded_client.cc (docs/BENCHMARKS.md).
  */
 
@@ -91,7 +94,7 @@ main(int argc, char **argv)
         std::printf("faded: serving on %s (max %u sessions, %u "
                     "workers, quantum %llu epochs)\n",
                     cfg.socketPath.c_str(), cfg.pool.maxActive,
-                    cfg.pool.workers,
+                    daemon.workers(),
                     (unsigned long long)cfg.pool.quantumEpochs);
         std::fflush(stdout);
         while (!stopRequested.load())

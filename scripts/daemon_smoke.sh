@@ -1,19 +1,21 @@
 #!/bin/sh
-# End-to-end daemon smoke: start faded on a fresh socket, run several
-# concurrent client sessions with --check (each compares the daemon's
-# result fingerprints bit-for-bit against a standalone in-process run
-# of the same config), then SIGTERM the daemon and require a clean
-# drain ("clean shutdown", exit 0). In between, a config the system
-# cannot build must come back as a typed rejection from a daemon that
-# keeps running, and unknown --engine/--policy values must be usage
-# errors of faded_client and trace_tool. Exercises the real executables
-# and a real socket — the layer above what tests/test_daemon.cc drives
-# in-process. Usage:
+# End-to-end daemon smoke: start faded on a fresh socket with its
+# default pool width, which must be the CPUs this process may run on
+# (nproc), run several concurrent client sessions with --check (each
+# compares the daemon's result fingerprints bit-for-bit against a
+# standalone in-process run of the same config), then SIGTERM the
+# daemon and require a clean drain ("clean shutdown", exit 0). In
+# between, a config the system cannot build must come back as a typed
+# rejection from a daemon that keeps running, and unknown
+# --engine/--policy values must be usage errors of faded_client and
+# trace_tool. Exercises the real executables and a real socket — the
+# layer above what tests/test_daemon.cc drives in-process. Usage:
 #
 #   sh scripts/daemon_smoke.sh [builddir]
 #
-# Default builddir=build. Fails (non-zero) on any fingerprint
-# mismatch, client failure, or unclean daemon shutdown.
+# Default builddir=build. Fails (non-zero) on a wrong default pool
+# width, any fingerprint mismatch, client failure, or unclean daemon
+# shutdown.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,9 +34,26 @@ sock="$dir/d.sock"
 log="$dir/faded.log"
 trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$dir"' EXIT
 
-"$builddir/faded" --socket "$sock" --max-sessions 8 --workers 2 \
-    > "$log" 2>&1 &
+"$builddir/faded" --socket "$sock" --max-sessions 8 > "$log" 2>&1 &
 daemon_pid=$!
+
+# Started without --workers, as users start it, faded runs one pool
+# worker per CPU in its affinity mask; its banner says how many. nproc
+# counts the same mask once the OpenMP variables it obeys are unset.
+echo "== default pool width =="
+cpus=$(unset OMP_NUM_THREADS OMP_THREAD_LIMIT; nproc)
+tries=0
+until grep -q "serving on" "$log"; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100 ] || { echo "smoke: faded printed no banner" >&2
+                              cat "$log" >&2; exit 1; }
+    sleep 0.1
+done
+grep -q "sessions, $cpus workers," "$log" || {
+    echo "smoke: faded's default pool is not $cpus workers (nproc):" >&2
+    cat "$log" >&2
+    exit 1
+}
 
 # Four concurrent sessions, distinct configs, each differentially
 # checked against a standalone run.

@@ -346,8 +346,6 @@ class Fade
     /** Dequeue the event-queue head into @p dst, checking its shard
      *  tag (single copy; accounting identical to pop()). */
     void popEventInto(MonEvent &dst);
-    std::uint8_t readOperandMd(const OperandRule &rule, bool isDest,
-                               const MonEvent &ev) const;
     OperandMd gatherMd(const EventTableEntry &e, const MonEvent &ev) const;
     unsigned mdReadLatency(const EventTableEntry &e, const MonEvent &ev);
     void recordSoftwareBound(const MonEvent &ev);

@@ -64,6 +64,7 @@ class Faded
     void stop(bool drain = true);
 
     unsigned activeSessions() const { return pool_.active(); }
+    unsigned workers() const { return pool_.workers(); }
     const std::string &socketPath() const { return cfg_.socketPath; }
 
   private:

@@ -124,8 +124,9 @@ uploadPlan(const WireSessionConfig &wc, const std::string &tracePath)
     SessionPlan plan;
     TraceManifest m;
     try {
-        plan.cfg = replayConfig(tracePath);
-        m = TraceReader(tracePath).manifest();
+        TraceReader reader(tracePath);
+        plan.cfg = replayConfig(reader);
+        m = reader.manifest();
     } catch (const TraceError &e) {
         throw SessionReject(Reason::BadTrace, e.what());
     }

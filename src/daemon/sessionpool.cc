@@ -7,9 +7,9 @@ namespace fade::daemon
 
 SessionPool::SessionPool(const PoolConfig &cfg) : cfg_(cfg)
 {
-    unsigned n = std::max(1u, cfg_.workers);
-    workers_.reserve(n);
-    for (unsigned w = 0; w < n; ++w)
+    cfg_.workers = std::max(1u, cfg_.workers);
+    workers_.reserve(cfg_.workers);
+    for (unsigned w = 0; w < cfg_.workers; ++w)
         workers_.emplace_back([this] { workerLoop(); });
 }
 

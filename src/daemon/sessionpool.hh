@@ -1,14 +1,14 @@
 /**
  * @file
- * The session pool: multiplexes every admitted session onto a small
- * worker pool in bounded quanta, the same bound-and-interleave move
- * the shard scheduler makes one level down. Admission control caps
- * the in-flight sessions (a typed AdmissionFull rejection beyond the
- * limit — the client retries, nothing queues unboundedly); the
- * per-session OutQueue bound provides backpressure (a session whose
- * client reads slowly is parked, not stepped, until its writer
- * drains, so it stalls only itself while the workers keep serving
- * everyone else).
+ * The session pool: multiplexes every admitted session onto a worker
+ * pool (one worker per CPU by default) in bounded quanta, the same
+ * bound-and-interleave move the shard scheduler makes one level down.
+ * Admission control caps the in-flight sessions (a typed
+ * AdmissionFull rejection beyond the limit — the client retries,
+ * nothing queues unboundedly); the per-session OutQueue bound
+ * provides backpressure (a session whose client reads slowly is
+ * parked, not stepped, until its writer drains, so it stalls only
+ * itself while the workers keep serving everyone else).
  *
  * Scheduling discipline: a runnable session lives in exactly one
  * place — the ready queue, one worker's hands, or the parked state.
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "daemon/session.hh"
+#include "system/scheduler.hh"
 
 namespace fade::daemon
 {
@@ -46,11 +47,13 @@ struct PoolConfig
     /** In-flight session cap; submissions beyond it are rejected with
      *  Reason::AdmissionFull. */
     unsigned maxActive = 8;
-    /** Worker threads stepping sessions. Each session's own scheduler
-     *  may add nested workers; on small hosts those collapse to
-     *  sequential (ShardScheduler::workerCount), so the daemon's
-     *  thread count stays bounded by this knob. */
-    unsigned workers = 2;
+    /** Worker threads stepping sessions; by default one per CPU this
+     *  process may run on, so as many sessions run at once as the
+     *  host can execute. This does not bound the daemon's threads:
+     *  each ParallelBatched session also runs min(CPUs, shards)
+     *  scheduler workers of its own whenever that is 2 or more
+     *  (ShardScheduler::workerCount). */
+    unsigned workers = hostCpuCount();
     /** Slice epochs per quantum: the yield granularity at which
      *  sessions interleave. Results are quantum-invariant
      *  (ShardScheduler::stepEpochs); only latency fairness moves. */
@@ -90,6 +93,9 @@ class SessionPool
 
     unsigned active() const;
     unsigned maxActive() const { return cfg_.maxActive; }
+    /** Worker threads the pool runs (PoolConfig::workers, at least
+     *  1). */
+    unsigned workers() const { return cfg_.workers; }
 
   private:
     void workerLoop();

@@ -51,22 +51,17 @@ Cache::accessSet(Line *set, unsigned ways, std::uint64_t tag,
 {
     for (unsigned w = 0; w < ways; ++w) {
         Line &line = set[w];
-        if (line.valid && line.tag == tag) {
+        if (line.lru != 0 && line.tag == tag) {
             line.lru = lruClock;
             return true;
         }
     }
+    // An invalid way (stamp 0) is older than every valid one, so the
+    // first least-recent way is the first invalid way if there is one.
     Line *victim = &set[0];
-    for (unsigned w = 0; w < ways; ++w) {
-        Line &line = set[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lru < victim->lru)
-            victim = &line;
-    }
-    victim->valid = true;
+    for (unsigned w = 0; w < ways && victim->lru != 0; ++w)
+        if (set[w].lru < victim->lru)
+            victim = &set[w];
     victim->tag = tag;
     victim->lru = lruClock;
     return false;
@@ -94,7 +89,7 @@ Cache::contains(Addr addr) const
     const Line *set = setLines(setIndex(addr));
     std::uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < params_.ways; ++w)
-        if (set[w].valid && set[w].tag == tag)
+        if (set[w].lru != 0 && set[w].tag == tag)
             return true;
     return false;
 }
@@ -103,7 +98,7 @@ void
 Cache::flush()
 {
     for (auto &line : lines_)
-        line.valid = false;
+        line.lru = 0;
 }
 
 void

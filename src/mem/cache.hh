@@ -126,12 +126,15 @@ class Cache : public MemPort
   private:
     friend class SliceL2View;
 
+    /** A tag and its LRU stamp. Stamps start at 1 (the clock is
+     *  bumped before every access), so stamp 0 marks an invalid way:
+     *  16 bytes, which keeps a 2MB L2 slice's array at 512KB. */
     struct Line
     {
         std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lru = 0;
+        std::uint64_t lru = 0; ///< 0 = invalid
     };
+    static_assert(sizeof(Line) == 16, "Cache::Line is a tag + stamp");
 
     static unsigned log2of(std::uint64_t powerOfTwo);
     unsigned setIndex(Addr addr) const;

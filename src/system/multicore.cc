@@ -453,7 +453,13 @@ traceConfigFingerprint(const MultiCoreConfig &cfg)
 MultiCoreConfig
 replayConfig(const std::string &path)
 {
-    TraceReader r(path);
+    return replayConfig(TraceReader(path));
+}
+
+MultiCoreConfig
+replayConfig(const TraceReader &r)
+{
+    const std::string &path = r.path();
     const TraceManifest &m = r.manifest();
     if (!m.present)
         throw TraceError("'" + path + "' carries no replay manifest "

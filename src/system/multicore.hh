@@ -335,6 +335,10 @@ std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
  */
 MultiCoreConfig replayConfig(const std::string &path);
 
+/** replayConfig() of the file @p reader has already opened and
+ *  validated, for callers that also read its manifest. */
+MultiCoreConfig replayConfig(const TraceReader &reader);
+
 } // namespace fade
 
 #endif // FADE_SYSTEM_MULTICORE_HH

@@ -1,5 +1,7 @@
 #include "system/scheduler.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -21,6 +23,16 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 } // namespace
+
+unsigned
+hostCpuCount()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return unsigned(std::max(1, CPU_COUNT(&set)));
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ShardRunner::ShardRunner(MonitoringSystem &sys, HomeDirectory &dir,
                          unsigned cluster)
@@ -115,12 +127,11 @@ ShardScheduler::workerCount() const
     if (cfg_.policy != SchedulerPolicy::ParallelBatched ||
         runners_.size() < 2)
         return 1;
-    // An explicit hostThreads is honored even past the hardware
-    // concurrency (oversubscription changes wall clock, never
-    // results); the default uses one worker per shard up to the
-    // host's parallelism.
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    unsigned want = cfg_.hostThreads ? cfg_.hostThreads : hw;
+    // An explicit hostThreads is honored even past the host's CPUs
+    // (oversubscription changes wall clock, never results); the
+    // default uses one worker per shard up to the CPUs this process
+    // may run on.
+    unsigned want = cfg_.hostThreads ? cfg_.hostThreads : hostCpuCount();
     return std::max(1u, std::min(want, unsigned(runners_.size())));
 }
 

@@ -79,9 +79,19 @@ struct SchedulerConfig
      */
     std::uint64_t sliceTicks = 4096;
     /** Worker threads for ParallelBatched; 0 = one per shard, capped
-     *  at the host's hardware concurrency. */
+     *  at hostCpuCount(). */
     unsigned hostThreads = 0;
 };
+
+/**
+ * How many CPUs this process may run on: the size of the calling
+ * thread's affinity mask, so `taskset` and cpuset limits count;
+ * std::thread::hardware_concurrency() only if the mask cannot be
+ * read; never below 1. The one host width behind both the scheduler's
+ * default worker count and faded's default session-pool size
+ * (daemon::PoolConfig::workers).
+ */
+unsigned hostCpuCount();
 
 /** Host-side accounting of one scheduler (simulation-invisible). */
 struct SchedulerStats

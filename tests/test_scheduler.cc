@@ -3,14 +3,18 @@
  * Shard scheduler tests: bit-equality of ParallelBatched vs Lockstep
  * across shard counts and slice sizes, determinism of repeated
  * parallel runs, N=1 equivalence with the legacy single-core system
- * under the slice protocol, and host-side accounting sanity.
+ * under the slice protocol, host-side accounting sanity, and the host
+ * width (hostCpuCount) that sizes both the scheduler and faded's pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cstdint>
 #include <vector>
 
+#include "daemon/sessionpool.hh"
 #include "monitor/factory.hh"
 #include "system/multicore.hh"
 #include "trace/profile.hh"
@@ -44,6 +48,41 @@ runOnce(MultiCoreConfig cfg)
     MultiCoreResult r = sys.run(kRun);
     return resultStats(sys, r);
 }
+
+/** Pins the calling thread to the first CPU of its affinity mask for
+ *  its lifetime, then restores the mask. */
+class PinnedToOneCpu
+{
+  public:
+    PinnedToOneCpu()
+    {
+        CPU_ZERO(&saved_);
+        if (sched_getaffinity(0, sizeof saved_, &saved_) != 0)
+            return;
+        int cpu = 0;
+        while (!CPU_ISSET(cpu, &saved_))
+            ++cpu;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+    }
+
+    ~PinnedToOneCpu()
+    {
+        if (pinned_)
+            sched_setaffinity(0, sizeof saved_, &saved_);
+    }
+
+    PinnedToOneCpu(const PinnedToOneCpu &) = delete;
+    PinnedToOneCpu &operator=(const PinnedToOneCpu &) = delete;
+
+    bool pinned() const { return pinned_; }
+
+  private:
+    cpu_set_t saved_;
+    bool pinned_ = false;
+};
 
 } // namespace
 
@@ -149,6 +188,33 @@ TEST(Scheduler, AccountingIsSane)
 
     sys.scheduler().resetStats();
     EXPECT_EQ(sys.scheduler().stats().epochs, 0u);
+}
+
+TEST(Scheduler, HostWidthFollowsAffinity)
+{
+    // The host width is the affinity mask, not the machine: pinned to
+    // one CPU (as under `taskset -c 0`), faded's default pool and a
+    // default-width parallel scheduler both run one worker, and the
+    // collapsed parallel run still matches Lockstep bit for bit.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    {
+        PinnedToOneCpu pin;
+        ASSERT_TRUE(pin.pinned());
+        EXPECT_EQ(hostCpuCount(), 1u);
+        EXPECT_EQ(daemon::PoolConfig{}.workers, hostCpuCount());
+
+        MultiCoreConfig par = baseConfig(4);
+        par.scheduler.policy = SchedulerPolicy::ParallelBatched;
+        MultiCoreSystem sys(par);
+        EXPECT_EQ(sys.scheduler().workerCount(), 1u);
+        sys.warmup(kWarm);
+        MultiCoreResult r = sys.run(kRun);
+        StatVector lockstep = runOnce(baseConfig(4));
+        EXPECT_TRUE(test::sameStats(lockstep, resultStats(sys, r)));
+    }
+    EXPECT_EQ(hostCpuCount(), unsigned(CPU_COUNT(&mask)));
 }
 
 } // namespace fade
