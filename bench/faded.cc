@@ -4,11 +4,7 @@
  * a unix socket and serves monitoring sessions until SIGINT/SIGTERM,
  * then drains in-flight sessions and exits 0.
  *
- *   faded --socket PATH [--max-sessions N] [--workers N]
- *         [--quantum EPOCHS] [--out-frames N] [--upload-dir DIR]
- *
- * --workers defaults to the CPUs this process may run on
- * (fade::hostCpuCount()); the banner prints the count in use.
+ *   faded --socket PATH [--max-sessions N] [--upload-dir DIR]
  *
  * Drive it with bench/faded_client.cc (docs/BENCHMARKS.md).
  */
@@ -41,8 +37,6 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: faded --socket PATH [--max-sessions N] "
-                 "[--workers N]\n"
-                 "             [--quantum EPOCHS] [--out-frames N] "
                  "[--upload-dir DIR]\n");
     return 2;
 }
@@ -64,17 +58,8 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--socket")) {
             cfg.socketPath = next("--socket");
         } else if (!std::strcmp(argv[i], "--max-sessions")) {
-            cfg.pool.maxActive = unsigned(
+            cfg.maxSessions = unsigned(
                 std::strtoul(next("--max-sessions"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--workers")) {
-            cfg.pool.workers =
-                unsigned(std::strtoul(next("--workers"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--quantum")) {
-            cfg.pool.quantumEpochs =
-                std::strtoull(next("--quantum"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--out-frames")) {
-            cfg.outFrames =
-                std::strtoull(next("--out-frames"), nullptr, 10);
         } else if (!std::strcmp(argv[i], "--upload-dir")) {
             cfg.uploadDir = next("--upload-dir");
         } else {
@@ -91,11 +76,8 @@ main(int argc, char **argv)
     try {
         Faded daemon(cfg);
         daemon.start();
-        std::printf("faded: serving on %s (max %u sessions, %u "
-                    "workers, quantum %llu epochs)\n",
-                    cfg.socketPath.c_str(), cfg.pool.maxActive,
-                    daemon.workers(),
-                    (unsigned long long)cfg.pool.quantumEpochs);
+        std::printf("faded: serving on %s (max %u sessions)\n",
+                    cfg.socketPath.c_str(), cfg.maxSessions);
         std::fflush(stdout);
         while (!stopRequested.load())
             std::this_thread::sleep_for(

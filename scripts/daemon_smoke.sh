@@ -1,21 +1,21 @@
 #!/bin/sh
-# End-to-end daemon smoke: start faded on a fresh socket with its
-# default pool width, which must be the CPUs this process may run on
-# (nproc), run several concurrent client sessions with --check (each
-# compares the daemon's result fingerprints bit-for-bit against a
-# standalone in-process run of the same config), then SIGTERM the
-# daemon and require a clean drain ("clean shutdown", exit 0). In
-# between, a config the system cannot build must come back as a typed
-# rejection from a daemon that keeps running, and unknown
+# End-to-end daemon smoke: start faded on a fresh socket, require that
+# it idles on two threads (main and accept: a connection gets a thread
+# only while it is open), run several concurrent client sessions with
+# --check (each compares the daemon's result fingerprints bit-for-bit
+# against a standalone in-process run of the same config), then
+# SIGTERM the daemon and require a clean drain ("clean shutdown", exit
+# 0). In between, a config the system cannot build must come back as a
+# typed rejection from a daemon that keeps running, and unknown
 # --engine/--policy values must be usage errors of faded_client and
 # trace_tool. Exercises the real executables and a real socket — the
 # layer above what tests/test_daemon.cc drives in-process. Usage:
 #
 #   sh scripts/daemon_smoke.sh [builddir]
 #
-# Default builddir=build. Fails (non-zero) on a wrong default pool
-# width, any fingerprint mismatch, client failure, or unclean daemon
-# shutdown.
+# Default builddir=build. Fails (non-zero) on an idle thread count
+# other than two, any fingerprint mismatch, client failure, or unclean
+# daemon shutdown.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,11 +37,8 @@ trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$dir"' EXIT
 "$builddir/faded" --socket "$sock" --max-sessions 8 > "$log" 2>&1 &
 daemon_pid=$!
 
-# Started without --workers, as users start it, faded runs one pool
-# worker per CPU in its affinity mask; its banner says how many. nproc
-# counts the same mask once the OpenMP variables it obeys are unset.
-echo "== default pool width =="
-cpus=$(unset OMP_NUM_THREADS OMP_THREAD_LIMIT; nproc)
+# The banner follows start(), so the accept thread is running by then.
+echo "== idle threads =="
 tries=0
 until grep -q "serving on" "$log"; do
     tries=$((tries + 1))
@@ -49,9 +46,16 @@ until grep -q "serving on" "$log"; do
                               cat "$log" >&2; exit 1; }
     sleep 0.1
 done
-grep -q "sessions, $cpus workers," "$log" || {
-    echo "smoke: faded's default pool is not $cpus workers (nproc):" >&2
-    cat "$log" >&2
+# ThreadSanitizer's runtime starts one thread of its own along with the
+# process's first.
+want=2
+if grep -q '^FADE_SANITIZE_THREAD:BOOL=ON' "$builddir/CMakeCache.txt" \
+        2> /dev/null; then
+    want=3
+fi
+threads=$(ls "/proc/$daemon_pid/task" | wc -l)
+[ "$threads" -eq "$want" ] || {
+    echo "smoke: idle faded runs $threads threads, want $want" >&2
     exit 1
 }
 

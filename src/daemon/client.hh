@@ -57,9 +57,9 @@ class DaemonClient
 
     /** Start the configured session and block until it finishes
      *  (Result + Bye) or fails. @p perFrameSleepMs > 0 sleeps between
-     *  received frames — the slow-reader knob the backpressure tests
-     *  use to force the daemon to park this session; @p onStarted runs
-     *  once the pool has admitted it (the Started frame). */
+     *  received frames — the slow-reader knob of the backpressure
+     *  test; @p onStarted runs once the daemon has admitted the
+     *  session (the Started frame). */
     SessionOutcome run(int perFrameSleepMs = 0,
                        const std::function<void()> &onStarted = {});
 

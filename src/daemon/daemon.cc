@@ -1,8 +1,11 @@
 #include "daemon/daemon.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,254 +13,85 @@
 namespace fade::daemon
 {
 
-/**
- * One accepted connection: owns the socket, the output queue, and —
- * once Configure succeeds — the session (shared with the pool, which
- * may outlive the connection). The reader thread runs the protocol
- * state machine and joins the writer on its way out, so the daemon
- * only ever joins readers.
- */
-struct Faded::Connection
+namespace
 {
-    Connection(Faded &d, int fd)
-        : daemon(d), fd(fd),
-          queue(std::make_shared<OutQueue>(d.cfg_.outFrames))
-    {
-        writer = std::thread([this] { writerLoop(); });
-        reader = std::thread([this] { readerLoop(); });
-    }
 
-    ~Connection()
-    {
-        if (reader.joinable())
-            reader.join();
-        if (fd >= 0)
-            ::close(fd);
-    }
+void
+sendError(int fd, FrameType t, Reason r, const std::string &msg)
+{
+    wire::Enc e;
+    e.u8(std::uint8_t(t));
+    encodeError(e, ErrorInfo{r, msg});
+    writeFrame(fd, e.out);
+}
 
-    /** Unblock a blocked reader (and, when not draining, the writer). */
-    void
-    kick(bool drain)
-    {
-        ::shutdown(fd, drain ? SHUT_RD : SHUT_RDWR);
-    }
-
-    void
-    send(FrameType t)
-    {
-        queue->forcePush(sealFrame(t));
-    }
-
-    void
-    sendError(FrameType t, Reason r, const std::string &msg)
-    {
-        wire::Enc e;
-        e.u8(std::uint8_t(t));
-        encodeError(e, ErrorInfo{r, msg});
-        queue->forcePush(sealFrame(e.out));
-    }
-
-    std::shared_ptr<Session>
-    sessionRef()
-    {
-        std::lock_guard<std::mutex> lk(m);
-        return session;
-    }
-
-    /** Abort a submitted, unfinished session (client gone / protocol
-     *  violation mid-run); parked sessions must be unparked to run
-     *  their teardown quantum. */
-    void
-    abortSession()
-    {
-        std::shared_ptr<Session> s = sessionRef();
-        if (s && submitted.load() && !s->complete()) {
-            s->abort();
-            daemon.pool_.unpark(s.get());
+/** Receive TraceData frames into a temp file in @p dir until
+ *  TraceEnd. @return the file path. */
+std::string
+receiveUpload(int fd, const std::string &dir)
+{
+    char tmpl[256];
+    std::snprintf(tmpl, sizeof(tmpl), "%s/faded_upload_XXXXXX",
+                  dir.c_str());
+    int tfd = ::mkstemp(tmpl);
+    if (tfd < 0)
+        throw ProtocolError("cannot create upload temp file");
+    std::string path = tmpl;
+    try {
+        std::uint64_t total = 0;
+        std::vector<std::uint8_t> body;
+        for (;;) {
+            if (!readFrame(fd, body))
+                throw ProtocolError("disconnect mid-upload");
+            FrameType t = FrameType(body.at(0));
+            if (t == FrameType::TraceEnd)
+                break;
+            if (t != FrameType::TraceData)
+                throw ProtocolError("expected TraceData/TraceEnd");
+            total += body.size() - 1;
+            if (total > maxUploadBytes)
+                throw ProtocolError("upload exceeds size cap");
+            std::size_t n = body.size() - 1;
+            if (n && ::write(tfd, body.data() + 1, n) != ssize_t(n))
+                throw ProtocolError("cannot write upload temp file");
         }
-    }
-
-    void
-    writerLoop()
-    {
-        std::vector<std::uint8_t> frame;
-        try {
-            while (queue->pop(frame)) {
-                writeAll(fd, frame.data(), frame.size());
-                // The queue may have just dropped below its bound;
-                // tell the pool (no-op unless the session is parked).
-                if (std::shared_ptr<Session> s = sessionRef())
-                    daemon.pool_.unpark(s.get());
-            }
-        } catch (const ProtocolError &) {
-            // Client stopped reading (died mid-run): drop the stream
-            // and fail only this session.
-            queue->closeSink();
-            abortSession();
-        }
-    }
-
-    /** Receive TraceData frames into a temp file until TraceEnd.
-     *  @return the file path. */
-    std::string
-    receiveUpload()
-    {
-        char tmpl[256];
-        std::snprintf(tmpl, sizeof(tmpl), "%s/faded_upload_XXXXXX",
-                      daemon.cfg_.uploadDir.c_str());
-        int tfd = ::mkstemp(tmpl);
-        if (tfd < 0)
-            throw ProtocolError("cannot create upload temp file");
-        std::string path = tmpl;
-        try {
-            std::uint64_t total = 0;
-            std::vector<std::uint8_t> body;
-            for (;;) {
-                if (!readFrame(fd, body))
-                    throw ProtocolError("disconnect mid-upload");
-                FrameType t = FrameType(body.at(0));
-                if (t == FrameType::TraceEnd)
-                    break;
-                if (t != FrameType::TraceData)
-                    throw ProtocolError("expected TraceData/TraceEnd");
-                total += body.size() - 1;
-                if (total > maxUploadBytes)
-                    throw ProtocolError("upload exceeds size cap");
-                std::size_t n = body.size() - 1;
-                if (n &&
-                    ::write(tfd, body.data() + 1, n) != ssize_t(n))
-                    throw ProtocolError("cannot write upload temp "
-                                        "file");
-            }
-        } catch (...) {
-            ::close(tfd);
-            std::remove(path.c_str());
-            throw;
-        }
+    } catch (...) {
         ::close(tfd);
-        return path;
+        std::remove(path.c_str());
+        throw;
     }
+    ::close(tfd);
+    return path;
+}
 
-    /** Configure (+ optional upload) -> session construction. */
-    void
-    handleConfigure(const std::vector<std::uint8_t> &body)
-    {
-        wire::Dec d = frameDec(body, "configure");
-        WireSessionConfig wc = decodeConfig(d);
-        std::string tracePath;
-        if (wc.upload)
-            tracePath = receiveUpload();
-        try {
-            auto s = std::make_shared<Session>(
-                daemon.nextSessionId_.fetch_add(1) + 1, wc, tracePath,
-                queue);
-            {
-                std::lock_guard<std::mutex> lk(m);
-                session = std::move(s);
-            }
-            send(FrameType::Configured);
-        } catch (const SessionReject &e) {
-            // The Session ctor owns the temp file only on success.
-            if (!tracePath.empty())
-                std::remove(tracePath.c_str());
-            sendError(FrameType::Rejected, e.reason, e.what());
-        }
+/** Configure (+ optional upload) -> session construction. @return
+ *  the session, or null after answering Rejected. */
+std::unique_ptr<Session>
+configure(int fd, const std::vector<std::uint8_t> &body,
+          const std::string &uploadDir)
+{
+    wire::Dec d = frameDec(body, "configure");
+    WireSessionConfig wc = decodeConfig(d);
+    std::string tracePath;
+    if (wc.upload)
+        tracePath = receiveUpload(fd, uploadDir);
+    std::unique_ptr<Session> s;
+    try {
+        s = std::make_unique<Session>(wc, tracePath);
+    } catch (const SessionReject &e) {
+        // The Session ctor owns the temp file only on success.
+        if (!tracePath.empty())
+            std::remove(tracePath.c_str());
+        sendError(fd, FrameType::Rejected, e.reason, e.what());
+        return nullptr;
     }
+    writeFrame(fd, {std::uint8_t(FrameType::Configured)});
+    return s;
+}
 
-    void
-    handleRun()
-    {
-        std::shared_ptr<Session> s = sessionRef();
-        if (!s)
-            throw ProtocolError("Run before a successful Configure");
-        if (submitted.load())
-            throw ProtocolError("Run sent twice");
-        Reason r = daemon.pool_.submit(s);
-        if (r != Reason::None) {
-            sendError(FrameType::Rejected, r,
-                      std::string("not admitted: ") + reasonName(r));
-            return;
-        }
-        submitted.store(true);
-        send(FrameType::Started);
-    }
+} // namespace
 
-    void
-    readerLoop()
-    {
-        bool clean = false;
-        try {
-            readMagic(fd);
-            std::vector<std::uint8_t> body;
-            if (!readFrame(fd, body) ||
-                FrameType(body.at(0)) != FrameType::Hello)
-                throw ProtocolError("expected Hello");
-            wire::Dec d = frameDec(body, "hello");
-            std::uint32_t version = decodeHello(d);
-            if (version != protocolVersion) {
-                sendError(FrameType::Rejected, Reason::Protocol,
-                          "unsupported protocol version " +
-                              std::to_string(version));
-                throw ProtocolError("version mismatch");
-            }
-            {
-                wire::Enc e;
-                e.u8(std::uint8_t(FrameType::HelloOk));
-                HelloInfo h;
-                h.maxSessions = daemon.pool_.maxActive();
-                h.activeSessions = daemon.pool_.active();
-                encodeHelloOk(e, h);
-                queue->forcePush(sealFrame(e.out));
-            }
-
-            while (readFrame(fd, body)) {
-                switch (FrameType(body.at(0))) {
-                  case FrameType::Configure:
-                    if (sessionRef())
-                        throw ProtocolError("Configure sent twice");
-                    handleConfigure(body);
-                    break;
-                  case FrameType::Run:
-                    handleRun();
-                    break;
-                  case FrameType::Close:
-                    clean = true;
-                    break;
-                  default:
-                    throw ProtocolError("unexpected frame type");
-                }
-                if (clean)
-                    break;
-            }
-        } catch (const ProtocolError &e) {
-            // Best-effort diagnostic; the peer may already be gone.
-            sendError(FrameType::Error, Reason::Protocol, e.what());
-        }
-
-        // Teardown: a still-running session is aborted (client died or
-        // closed early); otherwise just let the writer drain and exit.
-        abortSession();
-        queue->finish();
-        if (writer.joinable())
-            writer.join();
-        // Half-close after the last frame: the peer sees a clean EOF
-        // instead of an idle socket that only dies when reaped.
-        ::shutdown(fd, SHUT_WR);
-        done.store(true);
-    }
-
-    Faded &daemon;
-    int fd;
-    std::shared_ptr<OutQueue> queue;
-    std::mutex m;
-    std::shared_ptr<Session> session;
-    std::atomic<bool> submitted{false};
-    std::atomic<bool> done{false};
-    std::thread writer;
-    std::thread reader;
-};
-
-Faded::Faded(const FadedConfig &cfg) : cfg_(cfg), pool_(cfg.pool) {}
+Faded::Faded(const FadedConfig &cfg) : cfg_(cfg) {}
 
 Faded::~Faded()
 {
@@ -274,58 +108,216 @@ Faded::start()
 void
 Faded::acceptLoop()
 {
-    for (;;) {
-        int lfd = listenFd_.load();
-        if (lfd < 0)
-            return;
+    // Only stop() ends this loop: it retires listenFd_ before shutting
+    // the socket down, which fails the blocked accept().
+    for (int lfd; (lfd = listenFd_.load()) >= 0;) {
         int fd = ::accept(lfd, nullptr, nullptr);
         if (fd < 0) {
-            if (stopping_.load())
-                return;
-            if (errno == EINTR)
-                continue;
-            return;
+            // Out of descriptors or memory: the connection waits in
+            // the backlog until some are freed. Retry, but not in a
+            // tight loop.
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+            continue;
         }
-        std::lock_guard<std::mutex> lk(connMutex_);
+        std::lock_guard<std::mutex> lk(m_);
         reapDone();
-        conns_.push_back(std::make_unique<Connection>(*this, fd));
+        Connection &c = conns_.emplace_back();
+        c.fd = fd;
+        c.thread = std::thread([this, &c] { serve(c); });
     }
 }
 
 void
 Faded::reapDone()
 {
-    // connMutex_ held. ~Connection joins the reader, which has
-    // already exited for done connections.
-    for (auto it = conns_.begin(); it != conns_.end();)
-        it = (*it)->done.load() ? conns_.erase(it) : std::next(it);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+        if (!it->done) {
+            ++it;
+            continue;
+        }
+        it->thread.join();
+        it = conns_.erase(it);
+    }
+}
+
+void
+Faded::shutdownAll(int how)
+{
+    for (Connection &c : conns_)
+        if (!c.done)
+            ::shutdown(c.fd, how);
+}
+
+void
+Faded::serve(Connection &c)
+{
+    converse(c.fd);
+    // Under m_, so that stop() never shuts down a descriptor that was
+    // closed and reused.
+    std::lock_guard<std::mutex> lk(m_);
+    ::close(c.fd);
+    c.done = true;
+    changed_.notify_all();
+}
+
+void
+Faded::converse(int fd)
+{
+    std::unique_ptr<Session> session;
+    bool ran = false;
+    try {
+        readMagic(fd);
+        std::vector<std::uint8_t> body;
+        if (!readFrame(fd, body) ||
+            FrameType(body.at(0)) != FrameType::Hello)
+            throw ProtocolError("expected Hello");
+        wire::Dec d = frameDec(body, "hello");
+        std::uint32_t version = decodeHello(d);
+        if (version != protocolVersion) {
+            sendError(fd, FrameType::Rejected, Reason::Protocol,
+                      "unsupported protocol version " +
+                          std::to_string(version));
+            throw ProtocolError("version mismatch");
+        }
+        {
+            wire::Enc e;
+            e.u8(std::uint8_t(FrameType::HelloOk));
+            HelloInfo h;
+            h.maxSessions = cfg_.maxSessions;
+            h.activeSessions = activeSessions();
+            encodeHelloOk(e, h);
+            writeFrame(fd, e.out);
+        }
+
+        while (readFrame(fd, body)) {
+            switch (FrameType(body.at(0))) {
+              case FrameType::Configure:
+                if (session)
+                    throw ProtocolError("Configure sent twice");
+                session = configure(fd, body, cfg_.uploadDir);
+                break;
+              case FrameType::Run: {
+                if (!session)
+                    throw ProtocolError(
+                        "Run before a successful Configure");
+                if (ran)
+                    throw ProtocolError("Run sent twice");
+                Reason r = admit();
+                if (r != Reason::None) {
+                    sendError(fd, FrameType::Rejected, r,
+                              std::string("not admitted: ") +
+                                  reasonName(r));
+                    break;
+                }
+                ran = true;
+                if (!runAdmitted(fd, *session))
+                    return;
+                break;
+              }
+              case FrameType::Close:
+                return;
+              default:
+                throw ProtocolError("unexpected frame type");
+            }
+        }
+    } catch (const ProtocolError &e) {
+        // Best-effort diagnostic; the peer may already be gone.
+        try {
+            sendError(fd, FrameType::Error, Reason::Protocol, e.what());
+        } catch (const ProtocolError &) {
+        }
+    }
+}
+
+bool
+Faded::runAdmitted(int fd, const Session &s)
+{
+    std::vector<std::uint8_t> last;
+    {
+        struct Slot
+        {
+            Faded &d;
+            ~Slot() { d.release(); }
+        } slot{*this};
+        writeFrame(fd, {std::uint8_t(FrameType::Started)});
+        last = s.run(fd, aborting_, completions_);
+    }
+    // The slot is free before the client can see its session end, so
+    // a client that has read Bye can start its next session at once.
+    if (last.empty())
+        return false;
+    writeFrame(fd, last);
+    if (FrameType(last[0]) == FrameType::Result)
+        writeFrame(fd, {std::uint8_t(FrameType::Bye)});
+    return true;
+}
+
+Reason
+Faded::admit()
+{
+    std::lock_guard<std::mutex> lk(m_);
+    if (draining_)
+        return Reason::Shutdown;
+    if (active_ >= cfg_.maxSessions)
+        return Reason::AdmissionFull;
+    ++active_;
+    return Reason::None;
+}
+
+void
+Faded::release()
+{
+    std::lock_guard<std::mutex> lk(m_);
+    --active_;
+    changed_.notify_all();
+}
+
+unsigned
+Faded::activeSessions() const
+{
+    std::lock_guard<std::mutex> lk(m_);
+    return active_;
 }
 
 void
 Faded::stop(bool drain)
 {
-    if (stopped_)
-        return;
-    stopped_ = true;
-    stopping_.store(true);
-    int lfd = listenFd_.exchange(-1);
-    if (lfd >= 0) {
-        ::shutdown(lfd, SHUT_RDWR);
-        ::close(lfd);
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        if (draining_)
+            return;
+        draining_ = true;
     }
+    if (!drain)
+        aborting_.store(true);
+    int lfd = listenFd_.exchange(-1);
+    if (lfd >= 0)
+        ::shutdown(lfd, SHUT_RDWR);
     if (acceptThread_.joinable())
         acceptThread_.join();
 
-    // Finish (or abort) every in-flight session first: their terminal
-    // frames land in the connection queues before any socket closes,
-    // so a draining stop loses no results.
-    pool_.shutdown(drain);
+    std::unique_lock<std::mutex> lk(m_);
+    // Abort cuts every connection now; a running session notices at
+    // its next quantum. A drain lets every running session write its
+    // Result first, then wakes the connections blocked in a read.
+    if (!drain)
+        shutdownAll(SHUT_RDWR);
+    changed_.wait(lk, [&] { return active_ == 0; });
+    shutdownAll(SHUT_RD);
+    changed_.wait(lk, [&] {
+        return std::all_of(conns_.begin(), conns_.end(),
+                           [](const Connection &c) { return c.done; });
+    });
+    reapDone();
+    lk.unlock();
 
-    std::lock_guard<std::mutex> lk(connMutex_);
-    for (auto &c : conns_)
-        c->kick(drain);
-    conns_.clear();
-    ::unlink(cfg_.socketPath.c_str());
+    if (lfd >= 0) {
+        ::close(lfd);
+        ::unlink(cfg_.socketPath.c_str());
+    }
 }
 
 } // namespace fade::daemon

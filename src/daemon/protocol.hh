@@ -105,7 +105,7 @@ enum class FrameType : std::uint8_t
 enum class Reason : std::uint8_t
 {
     None = 0,
-    /** Admission control: the session pool is at its in-flight limit. */
+    /** Admission control: the daemon runs its limit of sessions. */
     AdmissionFull = 1,
     /** Configuration failed validation (unknown monitor/profile,
      *  illegal shape, instruction budget exceeded). */
@@ -192,9 +192,11 @@ struct ResultInfo
     std::uint64_t events = 0;
     std::uint64_t cycles = 0;
     std::uint64_t bugReports = 0;
-    /** Scheduling telemetry: pool quanta executed and times the
-     *  session was parked on a full output queue (backpressure). */
+    /** Quanta the session ran: the build plus each slice of
+     *  sessionQuantumEpochs epochs (daemon/session.hh). */
     std::uint64_t quanta = 0;
+    /** Retired: always 0. Kept so the Result payload of protocol
+     *  version 1 keeps its layout. */
     std::uint64_t parks = 0;
     /** 1-based order of completion among the daemon's sessions. */
     std::uint64_t completionSeq = 0;

@@ -1,6 +1,9 @@
 #include "daemon/session.hh"
 
+#include <cerrno>
 #include <cstdio>
+
+#include <sys/socket.h>
 
 #include "trace/profile.hh"
 
@@ -169,6 +172,39 @@ fillResult(MultiCoreSystem &sys, const MultiCoreResult &res)
     return r;
 }
 
+/** The client hung up, sent bytes, or its socket failed — checked
+ *  without blocking. Any of them ends a running session. */
+bool
+clientInterrupts(int fd)
+{
+    char b;
+    ssize_t n = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
+    return n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                      errno != EINTR);
+}
+
+void
+sendProgress(int fd, bool measuring, const MultiCoreSystem &sys)
+{
+    wire::Enc e;
+    e.u8(std::uint8_t(FrameType::Progress));
+    ProgressInfo p;
+    p.phase = measuring ? 1 : 0;
+    p.instructions = sys.retiredTotal();
+    p.events = sys.producedTotal();
+    encodeProgress(e, p);
+    writeFrame(fd, e.out);
+}
+
+std::vector<std::uint8_t>
+errorBody(Reason r, const std::string &msg)
+{
+    wire::Enc e;
+    e.u8(std::uint8_t(FrameType::Error));
+    encodeError(e, ErrorInfo{r, msg});
+    return e.out;
+}
+
 } // namespace
 
 SessionPlan
@@ -187,74 +223,11 @@ standaloneRun(const WireSessionConfig &wc, const std::string &tracePath)
     return fillResult(sys, res);
 }
 
-// ------------------------------------------------------------- OutQueue
-
-bool
-OutQueue::tryPush(std::vector<std::uint8_t> frame)
-{
-    std::lock_guard<std::mutex> lk(m_);
-    if (closed_ || finished_)
-        return true;
-    if (q_.size() >= cap_)
-        return false;
-    q_.push_back(std::move(frame));
-    cv_.notify_one();
-    return true;
-}
-
-void
-OutQueue::forcePush(std::vector<std::uint8_t> frame)
-{
-    std::lock_guard<std::mutex> lk(m_);
-    if (closed_ || finished_)
-        return;
-    q_.push_back(std::move(frame));
-    cv_.notify_one();
-}
-
-void
-OutQueue::finish()
-{
-    std::lock_guard<std::mutex> lk(m_);
-    finished_ = true;
-    cv_.notify_all();
-}
-
-void
-OutQueue::closeSink()
-{
-    std::lock_guard<std::mutex> lk(m_);
-    closed_ = true;
-    q_.clear();
-    cv_.notify_all();
-}
-
-bool
-OutQueue::pop(std::vector<std::uint8_t> &frame)
-{
-    std::unique_lock<std::mutex> lk(m_);
-    cv_.wait(lk, [&] { return !q_.empty() || finished_ || closed_; });
-    if (closed_ || q_.empty())
-        return false;
-    frame = std::move(q_.front());
-    q_.pop_front();
-    return true;
-}
-
-bool
-OutQueue::full() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    return !closed_ && !finished_ && q_.size() >= cap_;
-}
-
 // -------------------------------------------------------------- Session
 
-Session::Session(std::uint64_t id, const WireSessionConfig &wc,
-                 const std::string &tracePath,
-                 std::shared_ptr<OutQueue> out)
-    : id_(id), plan_(sessionPlan(wc, tracePath)),
-      tracePath_(tracePath), out_(std::move(out))
+Session::Session(const WireSessionConfig &wc,
+                 const std::string &tracePath)
+    : plan_(sessionPlan(wc, tracePath)), tracePath_(tracePath)
 {
 }
 
@@ -264,109 +237,50 @@ Session::~Session()
         std::remove(tracePath_.c_str());
 }
 
-void
-Session::abort()
+std::vector<std::uint8_t>
+Session::run(int fd, const std::atomic<bool> &abort,
+             std::atomic<std::uint64_t> &completions) const
 {
-    aborted_.store(true);
-    out_->closeSink();
-}
-
-void
-Session::emitProgress()
-{
-    wire::Enc e;
-    e.u8(std::uint8_t(FrameType::Progress));
-    ProgressInfo p;
-    p.phase = phase_ == Phase::Warm ? 0 : 1;
-    p.instructions = sys_->retiredTotal();
-    p.events = sys_->producedTotal();
-    encodeProgress(e, p);
-    out_->tryPush(sealFrame(e.out));
-}
-
-void
-Session::finishRun()
-{
-    MultiCoreResult res = sys_->finishMeasure();
-    ResultInfo r = fillResult(*sys_, res);
-    r.quanta = quanta_;
-    r.parks = parks_.load();
-    if (seqCounter_)
-        r.completionSeq = seqCounter_->fetch_add(1) + 1;
-
-    wire::Enc e;
-    e.u8(std::uint8_t(FrameType::Result));
-    encodeResult(e, r);
-    out_->forcePush(sealFrame(e.out));
-    out_->forcePush(sealFrame(FrameType::Bye));
-    sys_.reset();
-    phase_ = Phase::Done;
-    // Terminal state before finish(): anyone who drains the queue to
-    // its end must already observe complete().
-    complete_.store(true);
-    out_->finish();
-}
-
-void
-Session::failRun(Reason r, const std::string &msg)
-{
-    wire::Enc e;
-    e.u8(std::uint8_t(FrameType::Error));
-    encodeError(e, ErrorInfo{r, msg});
-    out_->forcePush(sealFrame(e.out));
-    sys_.reset();
-    phase_ = Phase::Done;
-    complete_.store(true);
-    out_->finish();
-}
-
-bool
-Session::step(std::uint64_t quantumEpochs)
-{
-    if (phase_ == Phase::Done)
-        return true;
-    if (aborted_.load()) {
-        // Tear the simulator down on the worker (it may be large);
-        // the sink is closed, so no frames are owed.
-        sys_.reset();
-        phase_ = Phase::Done;
-        complete_.store(true);
-        return true;
-    }
-
-    ++quanta_;
+    auto interrupted = [&] { return abort.load() || clientInterrupts(fd); };
     try {
-        switch (phase_) {
-          case Phase::Build:
-            sys_ = std::make_unique<MultiCoreSystem>(plan_.cfg);
-            sys_->beginWarmup(plan_.warmup);
-            phase_ = Phase::Warm;
-            break;
-          case Phase::Warm:
-            if (sys_->advanceRun(quantumEpochs)) {
-                sys_->finishWarmup();
-                sys_->beginMeasure(plan_.measure);
-                phase_ = Phase::Measure;
+        // Building the system is the first quantum.
+        if (interrupted())
+            return {};
+        std::uint64_t quanta = 1;
+        MultiCoreSystem sys(plan_.cfg);
+        sys.beginWarmup(plan_.warmup);
+        bool measuring = false;
+        for (;;) {
+            if (interrupted())
+                return {};
+            ++quanta;
+            if (sys.advanceRun(sessionQuantumEpochs)) {
+                if (measuring)
+                    break;
+                sys.finishWarmup();
+                sys.beginMeasure(plan_.measure);
+                measuring = true;
             }
-            emitProgress();
-            break;
-          case Phase::Measure:
-            if (sys_->advanceRun(quantumEpochs))
-                finishRun();
-            else
-                emitProgress();
-            break;
-          case Phase::Done:
-            break;
+            sendProgress(fd, measuring, sys);
         }
-    } catch (const TraceError &e) {
+
+        MultiCoreResult res = sys.finishMeasure();
+        ResultInfo r = fillResult(sys, res);
+        r.quanta = quanta;
+        r.completionSeq = completions.fetch_add(1) + 1;
+        wire::Enc e;
+        e.u8(std::uint8_t(FrameType::Result));
+        encodeResult(e, r);
+        return e.out;
+    } catch (const ProtocolError &) {
+        throw;
+    } catch (const TraceError &err) {
         // An uploaded trace can pass header validation and still turn
         // out corrupt when a block is decoded mid-run.
-        failRun(Reason::BadTrace, e.what());
-    } catch (const std::exception &e) {
-        failRun(Reason::Internal, e.what());
+        return errorBody(Reason::BadTrace, err.what());
+    } catch (const std::exception &err) {
+        return errorBody(Reason::Internal, err.what());
     }
-    return phase_ == Phase::Done;
 }
 
 } // namespace fade::daemon

@@ -3,8 +3,8 @@
  * One daemon session: a client-supplied monitoring experiment — full
  * knob matrix (profile x monitor x shard count x scheduler policy x
  * engine x topology), live-generated or replayed from an uploaded
- * .ftrace — validated, built into a MultiCoreSystem, and executed in
- * bounded quanta under the session pool.
+ * .ftrace — validated, built into a MultiCoreSystem, and run start to
+ * finish on its connection's thread in bounded quanta.
  *
  * Validation happens here, before any simulator object exists, since
  * fatal()/panic() end the process: the daemon's own rules (wire values;
@@ -14,17 +14,15 @@
  * SessionReject. A config that passes sessionPlan() cannot reach a
  * fatal().
  *
- * Isolation argument, step by step: a Session owns its entire
+ * Isolation argument, step by step: a session builds its entire
  * simulator (MultiCoreSystem, monitors, workload generators, trace
- * reader) and shares nothing mutable with other sessions; the pool
- * steps a session on at most one worker at a time, with the handoff
- * between workers synchronized by the pool's run-queue mutex; and the
- * resumable phase protocol (MultiCoreSystem::beginWarmup/
- * beginMeasure/advanceRun) executes exactly the epochs the monolithic
- * warmup()/run() calls would have. Hence a session's fingerprints are
- * bit-identical to a standalone run of the same plan
- * (standaloneRun()), no matter how many sessions the daemon
- * interleaves — the property tests/test_daemon.cc enforces
+ * reader) on its own thread and shares nothing mutable with other
+ * sessions; and the resumable phase protocol
+ * (MultiCoreSystem::beginWarmup/beginMeasure/advanceRun) executes
+ * exactly the epochs the monolithic warmup()/run() calls would have.
+ * Hence a session's fingerprints are bit-identical to a standalone run
+ * of the same plan (standaloneRun()), no matter how many sessions the
+ * daemon runs at once — the property tests/test_daemon.cc enforces
  * differentially.
  */
 
@@ -32,11 +30,7 @@
 #define FADE_DAEMON_SESSION_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -93,134 +87,48 @@ SessionPlan sessionPlan(const WireSessionConfig &wc,
 ResultInfo standaloneRun(const WireSessionConfig &wc,
                          const std::string &tracePath = "");
 
-/**
- * Bounded queue of sealed output frames between a session (producer:
- * the pool worker stepping it) and its connection's writer thread
- * (consumer). The bound is the backpressure mechanism: the pool
- * refuses to step a session whose queue is full, parking it until the
- * writer drains — a slow reader therefore stalls only its own
- * session's progress, never a pool worker.
- */
-class OutQueue
-{
-  public:
-    explicit OutQueue(std::size_t capacity) : cap_(capacity) {}
-
-    /** Push a sealed frame if there is room. @return false when the
-     *  queue is full (frame dropped; progress frames are advisory).
-     *  Accepted-and-dropped (true) once the sink is gone. */
-    bool tryPush(std::vector<std::uint8_t> frame);
-
-    /** Push a sealed frame regardless of capacity (terminal
-     *  Result/Bye/Error frames must not be lost to backpressure). */
-    void forcePush(std::vector<std::uint8_t> frame);
-
-    /** Producer is done; pop() returns false once drained. */
-    void finish();
-
-    /** Consumer is gone (client died): drop everything, present and
-     *  future, and unblock any pop(). */
-    void closeSink();
-
-    /** Block for the next frame. @return false when the stream is
-     *  over (finished and drained, or sink closed). */
-    bool pop(std::vector<std::uint8_t> &frame);
-
-    /** A tryPush would fail right now. */
-    bool full() const;
-
-  private:
-    mutable std::mutex m_;
-    std::condition_variable cv_;
-    std::deque<std::vector<std::uint8_t>> q_;
-    const std::size_t cap_;
-    bool finished_ = false;
-    bool closed_ = false;
-};
+/** Slice epochs a session runs between two looks at its socket; a
+ *  quantum that does not end the run ends with a Progress frame.
+ *  Results do not depend on it (ShardScheduler::stepEpochs). */
+constexpr std::uint64_t sessionQuantumEpochs = 8;
 
 /**
- * One configured experiment moving through build -> warmup -> measure
- * -> done in bounded quanta. step() is called by exactly one pool
- * worker at a time (pool run-queue discipline); everything else is
- * called from connection threads and touches only atomics and the
- * queue.
+ * A configured session: its validated plan and, for an upload, the
+ * trace file it owns (unlinked in the destructor). run() executes it
+ * on the calling thread, which is the thread of its connection.
  */
 class Session
 {
   public:
-    /**
-     * Validates @p wc (throws SessionReject). @p tracePath is the
-     * uploaded trace file, owned by the session from here on (unlinked
-     * in the destructor); "" for live sessions.
-     */
-    Session(std::uint64_t id, const WireSessionConfig &wc,
-            const std::string &tracePath,
-            std::shared_ptr<OutQueue> out);
+    /** Validates @p wc (throws SessionReject). @p tracePath is the
+     *  uploaded trace file, owned by the session from here on; "" for
+     *  live sessions. */
+    Session(const WireSessionConfig &wc, const std::string &tracePath);
     ~Session();
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
     /**
-     * Advance by at most @p quantumEpochs slice epochs (building the
-     * system counts as the first quantum). Emits an advisory Progress
-     * frame per quantum and, on completion, force-pushes Result + Bye
-     * and finishes the queue. Mid-run failures (a corrupt uploaded
-     * block surfacing lazily, any unexpected exception) become a
-     * typed Error frame — the session fails, the daemon does not.
-     * @return true when the session reached a terminal state.
+     * Build the system and drive warmup and measure in quanta of
+     * sessionQuantumEpochs, writing a Progress frame to the client on
+     * @p fd after each quantum that does not end the run. Before each
+     * quantum the run ends if @p abort is set or the client hung up or
+     * sent anything. The system is torn down before this returns.
+     * @return the body of the session's last frame: its Result
+     * (numbered by @p completions), or a typed Error when it failed
+     * mid-run (a corrupt uploaded block surfacing lazily, any
+     * unexpected exception) — the session fails, the daemon does not;
+     * empty when the run was ended early. Throws ProtocolError when a
+     * write fails.
      */
-    bool step(std::uint64_t quantumEpochs);
-
-    /**
-     * Tear the session down early (client died, forced shutdown): the
-     * next step() discards the simulator and completes without
-     * emitting frames. Safe from any thread, any time.
-     */
-    void abort();
-
-    /** The session reached a terminal state (result flushed, failed,
-     *  or torn down after an abort). */
-    bool complete() const { return complete_.load(); }
-    std::uint64_t id() const { return id_; }
-    OutQueue &out() { return *out_; }
-
-    /** Pool bookkeeping (sessionpool.cc). parked_ is guarded by the
-     *  pool mutex; parks_ is read into the Result frame. */
-    bool parked_ = false;
-    std::atomic<std::uint64_t> parks_{0};
-
-    /** Set at submission; completed sessions stamp their Result frame
-     *  with the next value (1-based completion order). */
-    void
-    setCompletionCounter(std::atomic<std::uint64_t> *c)
-    {
-        seqCounter_ = c;
-    }
+    std::vector<std::uint8_t>
+    run(int fd, const std::atomic<bool> &abort,
+        std::atomic<std::uint64_t> &completions) const;
 
   private:
-    enum class Phase : std::uint8_t
-    {
-        Build,
-        Warm,
-        Measure,
-        Done,
-    };
-
-    void emitProgress();
-    void finishRun();
-    void failRun(Reason r, const std::string &msg);
-
-    const std::uint64_t id_;
     SessionPlan plan_;
     std::string tracePath_;
-    std::shared_ptr<OutQueue> out_;
-    std::unique_ptr<MultiCoreSystem> sys_;
-    Phase phase_ = Phase::Build;
-    std::uint64_t quanta_ = 0;
-    std::atomic<bool> aborted_{false};
-    std::atomic<bool> complete_{false};
-    std::atomic<std::uint64_t> *seqCounter_ = nullptr;
 };
 
 } // namespace fade::daemon

@@ -314,10 +314,14 @@ std::vector<std::uint64_t> resultFingerprint(MultiCoreSystem &sys,
 
 /**
  * Hash of the result-affecting capture configuration, stamped into the
- * trace header at capture time. Engine, scheduler policy, and host
- * thread count are deliberately excluded: they are proven
- * result-invariant (tests/test_scheduler.cc, test_pipeline.cc), so a
- * trace captured under any of them replays under all of them.
+ * trace header at capture time (engine, scheduler policy and host
+ * thread count are left out: results do not depend on them). It is
+ * informational — `trace_tool --stats` prints it — and guards nothing:
+ * no replay compares it, and it cannot be recomputed from the file
+ * alone. A capture hashes its own workload list, while replayConfig()
+ * rebuilds one entry per stream, and traces written before the hash's
+ * inputs last changed carry the old value. The footer manifest and its
+ * result-fingerprint hash are what hold a replay to its capture.
  */
 std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
 

@@ -15,19 +15,9 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
       monHost_(sys.monCore_ ? sys.monCore_.get() : sys.appCore_.get()),
       fades_(sys.fades_.get()),
       producer_(sys.producer_.get()),
-      mproc_(sys.mproc_.get())
+      mproc_(sys.mproc_.get()),
+      appSrc_(sys.appSrc_)
 {
-    // The application source, exactly as the core sees it (the capture
-    // tee outermost, so spans are recorded at consumption).
-    if (sys.capture_)
-        appSrc_ = sys.capture_.get();
-    else if (sys.replay_)
-        appSrc_ = sys.replay_.get();
-    else if (sys.tgen_)
-        appSrc_ = sys.tgen_.get();
-    else
-        appSrc_ = sys.gen_.get();
-
     perfect_ = sys.cfg_.perfectConsumer && sys.mon_ != nullptr;
     unaccel_ = mproc_ != nullptr && fades_ == nullptr;
     monPopDelay_ = (fades_ && !sys.monCore_) ? 1 : 0;

@@ -87,9 +87,8 @@ struct SchedulerConfig
  * How many CPUs this process may run on: the size of the calling
  * thread's affinity mask, so `taskset` and cpuset limits count;
  * std::thread::hardware_concurrency() only if the mask cannot be
- * read; never below 1. The one host width behind both the scheduler's
- * default worker count and faded's default session-pool size
- * (daemon::PoolConfig::workers).
+ * read; never below 1. The host width behind the scheduler's default
+ * worker count (ShardScheduler::workerCount).
  */
 unsigned hostCpuCount();
 
@@ -217,10 +216,9 @@ class ShardScheduler
      * stepEpochs() is called. Epoch boundaries — and therefore every
      * simulated value — are identical whether the run is stepped in
      * one call or many: stepEpochs(k) executes exactly the first k
-     * epochs of the run. The monitoring daemon interleaves many
-     * sessions this way, yielding between sessions at epoch
-     * granularity (daemon/sessionpool.hh). @p what names the phase in
-     * diagnostics.
+     * epochs of the run. A monitoring daemon session runs this way,
+     * checking its socket between quanta of epochs
+     * (daemon/session.hh). @p what names the phase in diagnostics.
      */
     void beginRun(std::uint64_t instructions, const char *what);
 

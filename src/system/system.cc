@@ -55,7 +55,6 @@ MonitoringSystem::MonitoringSystem(const SystemConfig &cfg,
     // a capture file. The core sees one InstSource either way, and the
     // capture tee forwards every call verbatim, so neither mode
     // perturbs timing or the generator's RNG draw order.
-    InstSource *appSrc = nullptr;
     WorkloadLayout layout;
     if (cfg_.traceIn) {
         fatal_if(cfg_.shardId >= cfg_.traceIn->numStreams(),
@@ -75,15 +74,15 @@ MonitoringSystem::MonitoringSystem(const SystemConfig &cfg,
                  " process threads)");
         replay_ = std::make_unique<ReplaySource>(*cfg_.traceIn,
                                                  cfg_.shardId);
-        appSrc = replay_.get();
+        appSrc_ = replay_.get();
         layout = m.layout;
     } else if (profile.procThreads > 0) {
         tgen_ = std::make_unique<ThreadedSource>(profile);
-        appSrc = tgen_.get();
+        appSrc_ = tgen_.get();
         layout = tgen_->layout();
     } else {
         gen_ = std::make_unique<TraceGenerator>(profile);
-        appSrc = gen_.get();
+        appSrc_ = gen_.get();
         layout = gen_->layout();
     }
     if (cfg_.traceOut) {
@@ -98,9 +97,9 @@ MonitoringSystem::MonitoringSystem(const SystemConfig &cfg,
                  "capture stream ", sid, " registered for shard ",
                  unsigned(cfg_.shardId),
                  " (shards built out of order?)");
-        capture_ = std::make_unique<CaptureSource>(*appSrc,
+        capture_ = std::make_unique<CaptureSource>(*appSrc_,
                                                    *cfg_.traceOut, sid);
-        appSrc = capture_.get();
+        appSrc_ = capture_.get();
     }
 
     if (mon_) {
@@ -142,12 +141,12 @@ MonitoringSystem::MonitoringSystem(const SystemConfig &cfg,
 
     if (cfg_.twoCore && mproc_) {
         appCore_ = std::make_unique<Core>(cfg_.core, &appL1_);
-        appCore_->addThread(appSrc, producer_.get());
+        appCore_->addThread(appSrc_, producer_.get());
         monCore_ = std::make_unique<Core>(cfg_.core, &monL1_);
         monCore_->addThread(mproc_.get(), mproc_.get());
     } else {
         appCore_ = std::make_unique<Core>(cfg_.core, &appL1_);
-        appCore_->addThread(appSrc, producer_.get());
+        appCore_->addThread(appSrc_, producer_.get());
         if (mproc_)
             appCore_->addThread(mproc_.get(), mproc_.get());
     }

@@ -333,6 +333,9 @@ class MonitoringSystem
     /** Trace-driven replacements/decorators of gen_ (traceIn/Out). */
     std::unique_ptr<ReplaySource> replay_;
     std::unique_ptr<CaptureSource> capture_;
+    /** The application source the core fetches from: one of the four
+     *  above, the capture tee outermost. */
+    InstSource *appSrc_ = nullptr;
     BoundedQueue<MonEvent> eq_;
     BoundedQueue<UnfilteredEvent> ueq_;
 

@@ -158,9 +158,9 @@ class TraceWriter
     /** Register a stream; returns its id (dense, in call order). */
     unsigned addStream(const TraceStreamMeta &meta);
 
-    /** Record the capture config hash (header field; see
-     *  traceConfigFingerprint in system/multicore.hh). Must precede
-     *  the first append/flush. */
+    /** Record the capture config hash: an informational header field
+     *  that no replay checks (traceConfigFingerprint in
+     *  system/multicore.hh). Must precede the first append/flush. */
     void setConfigFingerprint(std::uint64_t fp);
 
     /** Append one fetched instruction to @p stream. */

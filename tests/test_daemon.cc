@@ -22,20 +22,33 @@
  *    live configs and edited upload manifests must each end in a typed
  *    rejection or error or a completed run, never a process exit.
  *
- *  - DaemonAdmission.* / DaemonBackpressure.*: the pool's admission
- *    cap rejects with a typed reason; a slow reader parks only its
- *    own session while others complete; shutdown drains in-flight
- *    sessions to completed results.
+ *  - DaemonAdmission.* / DaemonBackpressure.*: the admission cap
+ *    rejects with a typed reason; a slow reader slows only its own
+ *    session while others complete; shutdown drains in-flight
+ *    sessions to completed results and refuses new ones.
+ *
+ *  - DaemonResources.*: an idle daemon runs one thread besides its
+ *    caller's and each connection one more; running out of file
+ *    descriptors stops accept() only until some are free again.
  */
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +56,6 @@
 #include "daemon/client.hh"
 #include "daemon/daemon.hh"
 #include "daemon/session.hh"
-#include "daemon/sessionpool.hh"
 #include "monitor/factory.hh"
 #include "sim/random.hh"
 #include "system/multicore.hh"
@@ -466,6 +478,128 @@ runFuzzCase(const FuzzCase &c)
     }
 }
 
+/** Threads of this process: the entries of /proc/self/task. */
+unsigned
+threadCount()
+{
+    unsigned n = 0;
+    if (DIR *d = ::opendir("/proc/self/task")) {
+        while (dirent *e = ::readdir(d))
+            if (e->d_name[0] != '.')
+                ++n;
+        ::closedir(d);
+    }
+    return n;
+}
+
+/** Poll until threadCount() is @p want, for up to 10 s: a thread
+ *  leaves /proc only once the kernel has torn it down, which can be
+ *  after its last instruction and after a join. @return the last
+ *  count. */
+unsigned
+awaitThreadCount(unsigned want)
+{
+    unsigned n = threadCount();
+    for (int spin = 0; spin < 1000 && n != want; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        n = threadCount();
+    }
+    return n;
+}
+
+/** The highest descriptor this process has open. */
+int
+highestFd()
+{
+    int hi = 2;
+    if (DIR *d = ::opendir("/proc/self/fd")) {
+        while (dirent *e = ::readdir(d))
+            if (e->d_name[0] != '.')
+                hi = std::max(hi, std::atoi(e->d_name));
+        ::closedir(d);
+    }
+    return hi;
+}
+
+/**
+ * AcceptSurvivesDescriptorExhaustion's child: fill the descriptor table
+ * with raw connections, so that the daemon's accept() fails with EMFILE
+ * while a connection waits; free the table; then require a HelloOk and
+ * a clean session. @return the child's exit status, 0 when it passed.
+ */
+int
+exhaustDescriptorsThenServe()
+{
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
+
+    rlimit saved{};
+    if (::getrlimit(RLIMIT_NOFILE, &saved) != 0)
+        return 10;
+    rlimit low = saved;
+    low.rlim_cur = rlim_t(highestFd() + 1 + 12); // a few connections
+    if (::setrlimit(RLIMIT_NOFILE, &low) != 0)
+        return 11;
+    // Held until the table is full, then freed for one more connection:
+    // if the daemon accepted every connection so far, that one has to
+    // wait in the backlog.
+    int spare = ::open("/dev/null", O_RDONLY);
+    std::vector<int> fds;
+    auto connectRaw = [&] {
+        try {
+            fds.push_back(connectUnix(sock.path(), 0));
+            return true;
+        } catch (const ProtocolError &) {
+            return false; // socket(): EMFILE
+        }
+    };
+    while (connectRaw()) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::close(spare);
+    connectRaw();
+    // Let accept() find the table full, then free it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (int fd : fds)
+        ::close(fd);
+    if (::setrlimit(RLIMIT_NOFILE, &saved) != 0)
+        return 12;
+
+    // A daemon that stopped accepting never answers: bound the wait.
+    int fd = connectUnix(sock.path(), 5000);
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    bool answered = false;
+    try {
+        writeMagic(fd);
+        rawWrite(fd, helloFrameBytes());
+        std::vector<std::uint8_t> body;
+        answered = readFrame(fd, body) &&
+                   FrameType(body.at(0)) == FrameType::HelloOk;
+    } catch (const ProtocolError &) {
+    }
+    ::close(fd);
+    if (!answered) {
+        std::fprintf(stderr, "no HelloOk once descriptors were free\n");
+        return 1;
+    }
+    WireSessionConfig wc = liveConfig("MemLeak", "bzip");
+    wc.warmup = 200;
+    wc.measure = 1000;
+    SessionOutcome o = runSession(sock.path(), wc);
+    if (!o.ok) {
+        std::fprintf(stderr, "session failed: %s\n",
+                     o.error.message.c_str());
+        return 2;
+    }
+    daemon.stop();
+    return 0;
+}
+
 } // namespace
 
 // ===================================================== differential
@@ -477,9 +611,7 @@ TEST(DaemonDifferential, ConcurrentSessionsMatchStandalone)
     UniqueSocketPath sock;
     FadedConfig cfg;
     cfg.socketPath = sock.path();
-    cfg.pool.maxActive = unsigned(matrix.size());
-    cfg.pool.workers = 2;
-    cfg.pool.quantumEpochs = 4;
+    cfg.maxSessions = unsigned(matrix.size());
     Faded daemon(cfg);
     daemon.start();
 
@@ -494,7 +626,7 @@ TEST(DaemonDifferential, ConcurrentSessionsMatchStandalone)
         t.join();
 
     // Each must equal its standalone (daemon-free) run bit for bit:
-    // interleaving K sessions on 2 workers changed nothing.
+    // running K sessions at once changed nothing.
     std::vector<bool> seqSeen(matrix.size() + 1, false);
     for (std::size_t i = 0; i < matrix.size(); ++i) {
         ASSERT_TRUE(outcomes[i].ok)
@@ -816,7 +948,6 @@ TEST(DaemonFuzz, ClientDeathMidRunAbortsOnlyThatSession)
     UniqueSocketPath sock;
     FadedConfig cfg;
     cfg.socketPath = sock.path();
-    cfg.pool.quantumEpochs = 1; // many quanta: the abort lands mid-run
     Faded daemon(cfg);
     daemon.start();
 
@@ -826,7 +957,7 @@ TEST(DaemonFuzz, ClientDeathMidRunAbortsOnlyThatSession)
         wc.measure = maxSessionInstructions / 2; // long-running
         ASSERT_FALSE(dying.configure(wc).has_value());
         writeFrame(dying.fd(), {std::uint8_t(FrameType::Run)});
-        // Die only once the pool has admitted the session (Started);
+        // Die only once the daemon has admitted the session (Started);
         // before that, the reaping check below could pass vacuously.
         std::vector<std::uint8_t> body;
         while (readFrame(dying.fd(), body) &&
@@ -1002,9 +1133,7 @@ TEST(DaemonAdmission, TypedRejectionBeyondLimit)
     UniqueSocketPath sock;
     FadedConfig cfg;
     cfg.socketPath = sock.path();
-    cfg.pool.maxActive = 1;
-    cfg.pool.workers = 1;
-    cfg.pool.quantumEpochs = 1;
+    cfg.maxSessions = 1;
     Faded daemon(cfg);
     daemon.start();
 
@@ -1026,13 +1155,10 @@ TEST(DaemonAdmission, TypedRejectionBeyondLimit)
     EXPECT_FALSE(rejected.ok);
     EXPECT_EQ(rejected.error.reason, Reason::AdmissionFull);
 
-    // The holder finishes; the slot frees; the retry is admitted.
-    // (The worker decrements the active count just after pushing the
-    // terminal frames, so wait for the slot, as a real client would.)
+    // The holder finishes. Its slot is freed before its Bye is sent,
+    // so the retry is admitted at once.
     holder.join();
     ASSERT_TRUE(held.ok) << held.error.message;
-    while (daemon.activeSessions() > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     SessionOutcome retry = runSession(sock.path(), smallWc);
     ASSERT_TRUE(retry.ok) << retry.error.message;
     expectSameExperiment(retry.result, standaloneRun(smallWc),
@@ -1046,7 +1172,6 @@ TEST(DaemonAdmission, ShutdownDrainsInFlightSessions)
     UniqueSocketPath sock;
     FadedConfig cfg;
     cfg.socketPath = sock.path();
-    cfg.pool.quantumEpochs = 2;
     Faded daemon(cfg);
     daemon.start();
 
@@ -1059,7 +1184,7 @@ TEST(DaemonAdmission, ShutdownDrainsInFlightSessions)
     };
     std::vector<SessionOutcome> outcomes(wcs.size());
     std::vector<std::thread> clients;
-    // A session is in flight once the pool has admitted it (Started),
+    // A session is in flight once the daemon has admitted it (Started),
     // not once Configure is answered: a stop() landing in between
     // refuses its Run. A session never admitted counts when its client
     // gives up, so that failure reports below instead of hanging here.
@@ -1090,134 +1215,64 @@ TEST(DaemonAdmission, ShutdownDrainsInFlightSessions)
     }
 }
 
-TEST(DaemonAdmission, PoolRejectsSubmissionsWhileDraining)
+TEST(DaemonAdmission, RejectsRunWhileDraining)
 {
-    // Pool-level unit test, no sockets: a session submitted after
-    // shutdown() began gets the typed Shutdown rejection.
-    SessionPool pool(PoolConfig{2, 1, 4});
-    pool.shutdown(true);
+    // A connection configured before stop(true) sends Run while the
+    // drain waits for a held session: it gets the typed Shutdown
+    // rejection, not a session and not a hang.
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
 
-    WireSessionConfig wc = liveConfig("MemLeak", "bzip");
-    auto q = std::make_shared<OutQueue>(8);
-    auto s = std::make_shared<Session>(1, wc, "", q);
-    EXPECT_EQ(pool.submit(s), Reason::Shutdown);
+    // The held session runs far longer than this test waits on it; its
+    // client hangs up at the end, which ends it.
+    auto holder = std::make_unique<DaemonClient>(sock.path());
+    WireSessionConfig longWc = liveConfig("MemLeak", "gcc");
+    longWc.measure = maxSessionInstructions / 2;
+    ASSERT_FALSE(holder->configure(longWc).has_value());
+    writeFrame(holder->fd(), {std::uint8_t(FrameType::Run)});
+    std::vector<std::uint8_t> body;
+    while (readFrame(holder->fd(), body) &&
+           FrameType(body.at(0)) != FrameType::Started) {
+    }
+
+    DaemonClient late(sock.path());
+    ASSERT_FALSE(late.configure(liveConfig("MemLeak", "bzip")).has_value());
+
+    std::thread stopper([&] { daemon.stop(true); });
+    // stop() refuses new work before it shuts the listening socket down,
+    // so a refused connect means the drain has begun.
+    for (;;) {
+        try {
+            ::close(connectUnix(sock.path(), 0));
+        } catch (const ProtocolError &) {
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    SessionOutcome o = late.run();
+    EXPECT_FALSE(o.ok);
+    EXPECT_EQ(o.error.reason, Reason::Shutdown) << o.error.message;
+    EXPECT_EQ(daemon.activeSessions(), 1u);
+    late.close();
+
+    holder.reset();
+    stopper.join();
+    EXPECT_EQ(daemon.activeSessions(), 0u);
 }
 
 // ===================================================== backpressure
 
-TEST(DaemonBackpressure, OutQueueBoundAndTerminalOverride)
-{
-    OutQueue q(2);
-    EXPECT_TRUE(q.tryPush(sealFrame(FrameType::Progress)));
-    EXPECT_TRUE(q.tryPush(sealFrame(FrameType::Progress)));
-    EXPECT_TRUE(q.full());
-    EXPECT_FALSE(q.tryPush(sealFrame(FrameType::Progress)));
-    // Terminal frames bypass the bound.
-    q.forcePush(sealFrame(FrameType::Result));
-    q.forcePush(sealFrame(FrameType::Bye));
-    q.finish();
-
-    std::vector<std::uint8_t> f;
-    int n = 0;
-    while (q.pop(f))
-        ++n;
-    EXPECT_EQ(n, 4);
-    // After closeSink, pushes are swallowed.
-    OutQueue dead(2);
-    dead.closeSink();
-    EXPECT_TRUE(dead.tryPush(sealFrame(FrameType::Progress)));
-    EXPECT_FALSE(dead.full());
-    EXPECT_FALSE(dead.pop(f));
-}
-
-TEST(DaemonBackpressure, ParkedSessionYieldsWorkerToOthers)
-{
-    // Pool-level, no sockets, no kernel buffers: session A's queue has
-    // no consumer, so after two advisory frames the single worker must
-    // park A — not spin on it — and run session B to completion.
-    // Draining A's queue afterwards unparks it and it completes too,
-    // with both Result frames bit-identical to standalone runs:
-    // backpressure moved scheduling, not results.
-    SessionPool pool(PoolConfig{2, 1, 1});
-
-    WireSessionConfig wcA = liveConfig("MemLeak", "bzip");
-    WireSessionConfig wcB = liveConfig("AddrCheck", "mcf");
-    auto qa = std::make_shared<OutQueue>(2);
-    auto qb = std::make_shared<OutQueue>(2);
-    auto a = std::make_shared<Session>(1, wcA, "", qa);
-    auto b = std::make_shared<Session>(2, wcB, "", qb);
-
-    // B's consumer drains continuously (a healthy client).
-    std::vector<std::vector<std::uint8_t>> framesB;
-    std::thread consumerB([&] {
-        std::vector<std::uint8_t> f;
-        while (qb->pop(f)) {
-            framesB.push_back(f);
-            pool.unpark(b.get());
-        }
-    });
-
-    ASSERT_EQ(pool.submit(a), Reason::None);
-    ASSERT_EQ(pool.submit(b), Reason::None);
-
-    // B finishes while A sits parked on its full queue.
-    consumerB.join();
-    EXPECT_FALSE(a->complete());
-    EXPECT_GE(a->parks_.load(), 1u);
-
-    // A's client finally reads: drain + unpark until A completes.
-    std::vector<std::vector<std::uint8_t>> framesA;
-    std::vector<std::uint8_t> f;
-    while (qa->pop(f)) {
-        framesA.push_back(f);
-        pool.unpark(a.get());
-    }
-    EXPECT_TRUE(a->complete());
-    pool.shutdown(true);
-
-    // Decode each session's Result frame; B completed first. Queue
-    // frames are sealed (fixed32 length + body + fixed32 CRC), so
-    // strip the framing the connection writer would put on the wire.
-    auto unseal = [](const std::vector<std::uint8_t> &frame) {
-        std::uint32_t len = std::uint32_t(frame.at(0)) |
-                            std::uint32_t(frame.at(1)) << 8 |
-                            std::uint32_t(frame.at(2)) << 16 |
-                            std::uint32_t(frame.at(3)) << 24;
-        return std::vector<std::uint8_t>(frame.begin() + 4,
-                                         frame.begin() + 4 + len);
-    };
-    auto resultOf = [&](std::vector<std::vector<std::uint8_t>> &frames)
-        -> ResultInfo {
-        for (auto &raw : frames) {
-            std::vector<std::uint8_t> body = unseal(raw);
-            if (FrameType(body.at(0)) == FrameType::Result) {
-                wire::Dec d = frameDec(body, "result");
-                return decodeResult(d);
-            }
-        }
-        ADD_FAILURE() << "no Result frame";
-        return ResultInfo{};
-    };
-    ResultInfo ra = resultOf(framesA);
-    ResultInfo rb = resultOf(framesB);
-    EXPECT_EQ(rb.completionSeq, 1u);
-    EXPECT_EQ(ra.completionSeq, 2u);
-    EXPECT_GE(ra.parks, 1u);
-    expectSameExperiment(ra, standaloneRun(wcA), "parked session");
-    expectSameExperiment(rb, standaloneRun(wcB), "healthy session");
-}
-
 TEST(DaemonBackpressure, SlowReaderDoesNotPerturbOthers)
 {
-    // Socket-level: a client that sleeps between frames shares the
-    // single worker with a fast client; both must complete with
-    // results bit-identical to standalone runs.
+    // Socket-level: a client that sleeps between frames runs beside a
+    // fast client; both must complete with results bit-identical to
+    // standalone runs.
     UniqueSocketPath sock;
     FadedConfig cfg;
     cfg.socketPath = sock.path();
-    cfg.pool.workers = 1;
-    cfg.pool.quantumEpochs = 1; // a progress frame per epoch
-    cfg.outFrames = 2;          // tiny bound
     Faded daemon(cfg);
     daemon.start();
 
@@ -1239,4 +1294,48 @@ TEST(DaemonBackpressure, SlowReaderDoesNotPerturbOthers)
                          "fast session");
 
     daemon.stop();
+}
+
+// ======================================================== resources
+
+TEST(DaemonResources, OneThreadPerConnection)
+{
+    // An idle daemon adds one thread (accept) and each connection one
+    // more (its own), which ends with the connection. A sanitizer
+    // runtime may start a helper thread along with the process's first
+    // one, so a thread of the test's own runs throughout and the
+    // baseline counts that helper.
+    std::promise<void> release;
+    std::thread bystander(
+        [f = release.get_future()]() mutable { f.wait(); });
+    const unsigned base = threadCount();
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
+    EXPECT_EQ(threadCount(), base + 1);
+
+    {
+        // Each constructor returns once the client has its HelloOk.
+        std::vector<std::unique_ptr<DaemonClient>> clients;
+        for (int i = 0; i < 8; ++i)
+            clients.push_back(std::make_unique<DaemonClient>(sock.path()));
+        EXPECT_EQ(threadCount(), base + 1 + 8);
+    }
+    EXPECT_EQ(awaitThreadCount(base + 1), base + 1);
+
+    daemon.stop();
+    EXPECT_EQ(awaitThreadCount(base), base);
+    release.set_value();
+    bystander.join();
+}
+
+TEST(DaemonResources, AcceptSurvivesDescriptorExhaustion)
+{
+    // The lowered descriptor limit stays in a child process, so no
+    // other test sees it.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(std::exit(exhaustDescriptorsThenServe()),
+                testing::ExitedWithCode(0), "");
 }

@@ -4,7 +4,7 @@
  * across shard counts and slice sizes, determinism of repeated
  * parallel runs, N=1 equivalence with the legacy single-core system
  * under the slice protocol, host-side accounting sanity, and the host
- * width (hostCpuCount) that sizes both the scheduler and faded's pool.
+ * width (hostCpuCount) that sizes the scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "daemon/sessionpool.hh"
 #include "monitor/factory.hh"
 #include "system/multicore.hh"
 #include "trace/profile.hh"
@@ -193,9 +192,9 @@ TEST(Scheduler, AccountingIsSane)
 TEST(Scheduler, HostWidthFollowsAffinity)
 {
     // The host width is the affinity mask, not the machine: pinned to
-    // one CPU (as under `taskset -c 0`), faded's default pool and a
-    // default-width parallel scheduler both run one worker, and the
-    // collapsed parallel run still matches Lockstep bit for bit.
+    // one CPU (as under `taskset -c 0`), a default-width parallel
+    // scheduler runs one worker, and the collapsed parallel run still
+    // matches Lockstep bit for bit.
     cpu_set_t mask;
     CPU_ZERO(&mask);
     ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
@@ -203,7 +202,6 @@ TEST(Scheduler, HostWidthFollowsAffinity)
         PinnedToOneCpu pin;
         ASSERT_TRUE(pin.pinned());
         EXPECT_EQ(hostCpuCount(), 1u);
-        EXPECT_EQ(daemon::PoolConfig{}.workers, hostCpuCount());
 
         MultiCoreConfig par = baseConfig(4);
         par.scheduler.policy = SchedulerPolicy::ParallelBatched;
