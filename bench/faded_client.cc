@@ -125,11 +125,8 @@ runOne(const Options &opt)
                 (unsigned long long)o.result.events,
                 (unsigned long long)o.result.cycles,
                 (unsigned long long)o.result.bugReports);
-    std::printf("scheduling: %llu quanta, %llu park(s), %zu progress "
-                "frame(s)\n",
-                (unsigned long long)o.result.quanta,
-                (unsigned long long)o.result.parks,
-                o.progress.size());
+    std::printf("scheduling: %llu quanta, %zu progress frame(s)\n",
+                (unsigned long long)o.result.quanta, o.progress.size());
 
     if (opt.check) {
         ResultInfo local = standaloneRun(wc, opt.upload);

@@ -40,8 +40,6 @@ reasonName(Reason r)
         return "bad-trace";
       case Reason::Shutdown:
         return "shutdown";
-      case Reason::Aborted:
-        return "aborted";
       case Reason::Internal:
         return "internal";
     }

@@ -116,8 +116,6 @@ enum class Reason : std::uint8_t
     BadTrace = 4,
     /** The daemon is shutting down and admits no new work. */
     Shutdown = 5,
-    /** Client vanished / session torn down before completion. */
-    Aborted = 6,
     /** Unexpected server-side failure. */
     Internal = 7,
 };

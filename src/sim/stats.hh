@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics containers: running scalar statistics and
- * log2 histograms (queue-occupancy CDFs, Fig. 3 of the paper, and the
- * burst/distance distributions of Fig. 4).
+ * Lightweight statistics containers: log2 histograms (queue-occupancy
+ * CDFs, Fig. 3 of the paper, and the burst/distance distributions of
+ * Fig. 4).
  *
  * Counter structs (FadeStats, RunResult) list their members once, in a
  * static forEachField(f) that calls f(name, &T::member, StatKind) per
@@ -25,72 +25,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace fade
 {
-
-/** Mean / min / max / stddev over a stream of samples. */
-class RunningStat
-{
-  public:
-    void
-    sample(double v)
-    {
-        ++n_;
-        sum_ += v;
-        sumSq_ += v * v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / n_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-    double
-    stddev() const
-    {
-        if (n_ < 2)
-            return 0.0;
-        double m = mean();
-        double var = sumSq_ / n_ - m * m;
-        return var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-
-    /** Fold another stream's moments into this one (shard rollups /
-     *  merge-at-barrier; equivalent to having sampled both streams). */
-    void
-    merge(const RunningStat &o)
-    {
-        n_ += o.n_;
-        sum_ += o.sum_;
-        sumSq_ += o.sumSq_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-
-    void
-    reset()
-    {
-        n_ = 0;
-        sum_ = sumSq_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * Histogram with power-of-two bucket boundaries: bucket k counts samples

@@ -137,10 +137,8 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
                  reader_->numStreams(), " streams but this system has ",
                  cfg_.numShards, " shards");
     }
-    if (!cfg_.traceOut.empty()) {
+    if (!cfg_.traceOut.empty())
         writer_ = std::make_unique<TraceWriter>(cfg_.traceOut);
-        writer_->setConfigFingerprint(traceConfigFingerprint(cfg_));
-    }
 
     const unsigned procThreads = cfg_.workloads.front().procThreads;
     if (procThreads > 0)
@@ -414,40 +412,6 @@ void
 MultiCoreSystem::closeTrace(std::uint64_t resultHash)
 {
     finishTrace(true, resultHash);
-}
-
-std::uint64_t
-traceConfigFingerprint(const MultiCoreConfig &cfg)
-{
-    std::vector<std::uint64_t> v;
-    auto str = [&v](const std::string &s) {
-        v.push_back(s.size());
-        for (char c : s)
-            v.push_back(std::uint8_t(c));
-    };
-    v.push_back(cfg.numShards);
-    v.push_back(cfg.topology.clusters);
-    v.push_back(cfg.shard.fadesPerShard);
-    v.push_back(cfg.topology.remoteLatency);
-    v.push_back(cfg.scheduler.sliceTicks);
-    v.push_back(cfg.shard.eqCapacity);
-    v.push_back(cfg.shard.ueqCapacity);
-    str(cfg.shard.core.name);
-    v.push_back(cfg.shard.core.width);
-    v.push_back(cfg.shard.core.robSize);
-    v.push_back(cfg.shard.core.inOrder);
-    v.push_back(cfg.shard.core.mispredictPenalty);
-    v.push_back(cfg.shard.accelerated);
-    v.push_back(cfg.shard.twoCore);
-    v.push_back(cfg.shard.perfectConsumer);
-    str(cfg.monitor);
-    for (const BenchProfile &p : cfg.workloads) {
-        str(p.name);
-        v.push_back(p.seed);
-        v.push_back(p.numThreads);
-        v.push_back(p.procThreads);
-    }
-    return fingerprintHash(v);
 }
 
 MultiCoreConfig

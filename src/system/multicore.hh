@@ -302,28 +302,15 @@ BenchProfile shardWorkload(const std::vector<BenchProfile> &workloads,
  * `shard2.run.handler_instructions`, `llc1.misses`). The flat
  * 1-cluster layout is unchanged from the pre-topology system, so flat
  * fingerprints stay comparable across the refactor. Two runs are
- * bit-identical iff their values compare equal; the scheduler and
- * topology tests and the fig12 harness use this to assert
- * ParallelBatched == Lockstep on every shape.
+ * bit-identical iff their values compare equal; the scheduler,
+ * topology and engine tests use this to assert ParallelBatched ==
+ * Lockstep on every shape.
  */
 StatVector resultStats(MultiCoreSystem &sys, const MultiCoreResult &r);
 
 /** resultStats(sys, r).values: the vector fingerprintHash() hashes. */
 std::vector<std::uint64_t> resultFingerprint(MultiCoreSystem &sys,
                                              const MultiCoreResult &r);
-
-/**
- * Hash of the result-affecting capture configuration, stamped into the
- * trace header at capture time (engine, scheduler policy and host
- * thread count are left out: results do not depend on them). It is
- * informational — `trace_tool --stats` prints it — and guards nothing:
- * no replay compares it, and it cannot be recomputed from the file
- * alone. A capture hashes its own workload list, while replayConfig()
- * rebuilds one entry per stream, and traces written before the hash's
- * inputs last changed carry the old value. The footer manifest and its
- * result-fingerprint hash are what hold a replay to its capture.
- */
-std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
 
 /**
  * Reconstruct the run configuration of a captured trace from its

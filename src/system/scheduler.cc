@@ -3,26 +3,12 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <chrono>
 
 #include "sim/logging.hh"
 #include "trace/tracefile.hh"
 
 namespace fade
 {
-
-namespace
-{
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
-} // namespace
 
 unsigned
 hostCpuCount()
@@ -209,7 +195,6 @@ void
 ShardScheduler::beginRun(std::uint64_t instructions, const char *what)
 {
     panic_if(running_, "beginRun() while a run is already armed");
-    runT0_ = std::chrono::steady_clock::now();
     what_ = what;
     cycleLimit_ = sliceCycleLimit(instructions);
     if (cfg_.policy == SchedulerPolicy::ParallelBatched)
@@ -228,16 +213,12 @@ bool
 ShardScheduler::stepEpochs(std::uint64_t maxEpochs)
 {
     panic_if(!running_, "stepEpochs() without an armed run");
-    auto left = [&] {
-        unsigned n = 0;
-        for (auto &r : runners_)
-            if (!r->done())
-                ++n;
-        return n;
+    auto finished = [&] {
+        return std::all_of(runners_.begin(), runners_.end(),
+                           [](const auto &r) { return r->done(); });
     };
 
-    unsigned n = left();
-    for (std::uint64_t e = 0; n != 0 && e < maxEpochs; ++e, n = left()) {
+    for (std::uint64_t e = 0; !finished() && e < maxEpochs; ++e) {
         for (auto &r : runners_) {
             if (r->starved())
                 throw TraceError(std::string("a replayed stream ran dry "
@@ -246,20 +227,13 @@ ShardScheduler::stepEpochs(std::uint64_t maxEpochs)
             panic_if(!r->done() && r->ticksUsed() >= cycleLimit_,
                      "multi-core ", what_, " failed to make progress");
         }
-        auto e0 = std::chrono::steady_clock::now();
         runEpoch();
-        stats_.epochWall.sample(secondsSince(e0));
-        ++stats_.epochs;
-        stats_.slices += n;
     }
-    if (n != 0)
+    if (!finished())
         return false;
 
-    for (auto &r : runners_) {
+    for (auto &r : runners_)
         r->detach();
-        stats_.ticks += r->ticksUsed();
-    }
-    stats_.wallSeconds += secondsSince(runT0_);
     running_ = false;
     return true;
 }

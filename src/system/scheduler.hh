@@ -39,7 +39,6 @@
 #ifndef FADE_SYSTEM_SCHEDULER_HH
 #define FADE_SYSTEM_SCHEDULER_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -49,7 +48,6 @@
 
 #include "mem/cache.hh"
 #include "mem/directory.hh"
-#include "sim/stats.hh"
 #include "system/system.hh"
 
 namespace fade
@@ -91,22 +89,6 @@ struct SchedulerConfig
  * worker count (ShardScheduler::workerCount).
  */
 unsigned hostCpuCount();
-
-/** Host-side accounting of one scheduler (simulation-invisible). */
-struct SchedulerStats
-{
-    /** Slice barriers executed. */
-    std::uint64_t epochs = 0;
-    /** Shard-slices executed (<= epochs * shards). */
-    std::uint64_t slices = 0;
-    /** Total shard cycles ticked under the scheduler. */
-    std::uint64_t ticks = 0;
-    /** Wall-clock seconds from beginRun() to the end of the run,
-     *  summed over runs. */
-    double wallSeconds = 0.0;
-    /** Per-epoch wall-clock seconds (mean/min/max/stddev). */
-    RunningStat epochWall;
-};
 
 /**
  * Drives one shard in bounded slices against its per-slice
@@ -185,9 +167,9 @@ class ShardRunner
  * started lazily by the first parallel beginRun() and joined in the
  * destructor.
  *
- * Thread-safety contract: beginRun(), stepEpochs(), resetStats() and
- * stats() must be called from one thread (the owner's). Workers only
- * ever execute ShardRunner::runSlice between barriers; every merge step
+ * Thread-safety contract: beginRun() and stepEpochs() must be called
+ * from one thread (the owner's). Workers only ever execute
+ * ShardRunner::runSlice between barriers; every merge step
  * (commitSlice, beginEpoch, stat rollups) happens on the calling
  * thread with workers quiescent, so simulated state needs no locks.
  */
@@ -228,8 +210,7 @@ class ShardScheduler
      * sliceCycleLimit() without reaching its target; throws TraceError
      * if a replayed shard's stream runs dry first.
      * @return true when every shard has reached its target (the run is
-     * finished and detached; wall-clock accounting is folded into
-     * stats()). Panics if called without an armed run.
+     * finished and detached). Panics if called without an armed run.
      */
     bool stepEpochs(std::uint64_t maxEpochs);
 
@@ -238,8 +219,6 @@ class ShardScheduler
     bool runActive() const { return running_; }
 
     const SchedulerConfig &config() const { return cfg_; }
-    const SchedulerStats &stats() const { return stats_; }
-    void resetStats() { stats_ = SchedulerStats{}; }
 
     /** Shard @p i's runner (route-stat collection). */
     ShardRunner &runner(unsigned i) { return *runners_.at(i); }
@@ -254,13 +233,11 @@ class ShardScheduler
 
     SchedulerConfig cfg_;
     std::vector<std::unique_ptr<ShardRunner>> runners_;
-    SchedulerStats stats_;
 
     /** Armed-run state (beginRun()/stepEpochs()). */
     bool running_ = false;
     const char *what_ = "";
     std::uint64_t cycleLimit_ = 0;
-    std::chrono::steady_clock::time_point runT0_;
 
     /** Worker pool (ParallelBatched only; empty until first use). */
     std::vector<std::thread> workers_;

@@ -167,18 +167,6 @@ engineName(Engine e)
     return "unknown";
 }
 
-Engine
-parseEngine(const std::string &name)
-{
-    if (name == "percycle")
-        return Engine::PerCycle;
-    if (name == "rungrain")
-        return Engine::RunGrain;
-    fatal_if(name == "batched", "the batched engine was retired; use "
-             "percycle (the reference) or rungrain (the fast engine)");
-    fatal("unknown engine '", name, "' (expected percycle or rungrain)");
-}
-
 MonitoringSystem::~MonitoringSystem() = default;
 
 TraceGenerator &

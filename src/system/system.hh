@@ -70,10 +70,6 @@ enum class Engine : std::uint8_t
 /** Printable engine name ("percycle", "rungrain"). */
 const char *engineName(Engine e);
 
-/** Parse an engine name as printed by engineName(); fatal on junk
- *  (including the retired "batched" engine). */
-Engine parseEngine(const std::string &name);
-
 /** Full system configuration. */
 struct SystemConfig
 {

@@ -284,13 +284,6 @@ TraceWriter::addStream(const TraceStreamMeta &meta)
 }
 
 void
-TraceWriter::setConfigFingerprint(std::uint64_t fp)
-{
-    panic_if(headerWritten_, "trace config fingerprint set after header");
-    configFp_ = fp;
-}
-
-void
 TraceWriter::writeBytes(const void *p, std::size_t n)
 {
     if (std::fwrite(p, 1, n, f_) != n)
@@ -314,7 +307,7 @@ TraceWriter::writeHeader()
         e.varint(s.meta.layout.stackBase);
         e.varint(s.meta.layout.stackLen);
     }
-    e.fixed64(configFp_);
+    e.fixed64(0); // reserved
     std::uint32_t crc = crc32(e.out.data(), e.out.size());
     e.fixed32(crc);
     writeBytes(e.out.data(), e.out.size());
@@ -475,7 +468,7 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
         m.layout.stackLen = d.varint();
         streams_.push_back(std::move(m));
     }
-    configFp_ = d.fixed64();
+    d.fixed64(); // reserved
     std::uint32_t wantCrc =
         crc32(headerStart, std::size_t(d.p - headerStart));
     if (d.fixed32() != wantCrc)

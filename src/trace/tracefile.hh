@@ -15,8 +15,9 @@
  *
  *   magic "FADETRC1" (8 bytes)
  *   header: version, stream count, per-stream metadata (profile name,
- *           seed, thread count, startup layout), config fingerprint
- *           (fixed u64), CRC32 of the header bytes (fixed u32)
+ *           seed, thread count, startup layout), a reserved fixed u64
+ *           (written as 0, skipped on read), CRC32 of the header bytes
+ *           (fixed u32)
  *   blocks: tag 0x01, stream id, record count, payload length,
  *           payload (delta/varint-encoded records), CRC32 of the
  *           payload (fixed u32)
@@ -158,11 +159,6 @@ class TraceWriter
     /** Register a stream; returns its id (dense, in call order). */
     unsigned addStream(const TraceStreamMeta &meta);
 
-    /** Record the capture config hash: an informational header field
-     *  that no replay checks (traceConfigFingerprint in
-     *  system/multicore.hh). Must precede the first append/flush. */
-    void setConfigFingerprint(std::uint64_t fp);
-
     /** Append one fetched instruction to @p stream. */
     void append(unsigned stream, const Instruction &inst);
 
@@ -199,7 +195,6 @@ class TraceWriter
     std::FILE *f_ = nullptr;
     std::vector<Stream> streams_;
     TraceManifest manifest_;
-    std::uint64_t configFp_ = 0;
     bool headerWritten_ = false;
     bool closed_ = false;
     /** Serializes block appends from concurrent shard flushes. */
@@ -224,7 +219,6 @@ class TraceReader
     unsigned numStreams() const { return unsigned(streams_.size()); }
     const TraceStreamMeta &stream(unsigned s) const;
     const TraceManifest &manifest() const { return manifest_; }
-    std::uint64_t configFingerprint() const { return configFp_; }
     std::uint64_t fileBytes() const { return bytes_.size(); }
     /** Encoded payload bytes of @p s's records (sum over blocks). */
     std::uint64_t streamBytes(unsigned s) const;
@@ -285,7 +279,6 @@ class TraceReader
     std::vector<TraceStreamMeta> streams_;
     std::vector<std::vector<BlockRef>> blocks_; ///< per stream
     TraceManifest manifest_;
-    std::uint64_t configFp_ = 0;
 };
 
 /**

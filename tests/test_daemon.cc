@@ -207,7 +207,6 @@ rewriteManifest(const std::string &from, const std::string &to,
 {
     TraceReader r(from);
     TraceWriter w(to);
-    w.setConfigFingerprint(r.configFingerprint());
     for (unsigned s = 0; s < r.numStreams(); ++s)
         w.addStream(r.stream(s));
     for (unsigned s = 0; s < r.numStreams(); ++s) {

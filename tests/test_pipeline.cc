@@ -311,16 +311,32 @@ TEST(RunGrainEngine, PolicyInvariantAcrossShardCounts)
 {
     // Scheduler policy must not leak into run-grain results any more
     // than it does into per-cycle results: Lockstep and ParallelBatched
-    // agree bit for bit on the full fingerprint.
-    for (unsigned n : {1u, 2u, 4u}) {
-        SCOPED_TRACE(n);
-        MultiCoreConfig cfg = baseConfig("hmmer", n);
-        cfg.engine = Engine::RunGrain;
-        cfg.scheduler.hostThreads = 4;
-        cfg.scheduler.policy = SchedulerPolicy::Lockstep;
-        StatVector a = runOnce(cfg, 3000, 6000);
-        cfg.scheduler.policy = SchedulerPolicy::ParallelBatched;
-        EXPECT_TRUE(test::sameStats(runOnce(cfg, 3000, 6000), a));
+    // agree bit for bit on the full fingerprint, for flat shard counts
+    // and for fig12's clustered shapes, under AddrCheck and under
+    // fig12's MemLeak (bench/fig12_multicore_scaling.cc).
+    struct Shape
+    {
+        unsigned shards, clusters, fades;
+    };
+    const Shape shapes[] = {{1, 1, 1}, {2, 1, 1}, {4, 1, 1}, {8, 1, 1},
+                            {4, 2, 2}, {8, 4, 2}};
+    for (const char *monitor : {"AddrCheck", "MemLeak"}) {
+        for (const Shape &s : shapes) {
+            SCOPED_TRACE(testing::Message() << monitor << " " << s.shards
+                                            << "x" << s.clusters << "x"
+                                            << s.fades);
+            MultiCoreConfig cfg = baseConfig("hmmer", s.shards);
+            cfg.monitor = monitor;
+            cfg.topology.clusters = s.clusters;
+            cfg.shard.fadesPerShard = s.fades;
+            cfg.engine = Engine::RunGrain;
+            cfg.scheduler.hostThreads = 4;
+            cfg.scheduler.policy = SchedulerPolicy::Lockstep;
+            StatVector a = runOnce(cfg, 3000, 6000);
+            EXPECT_GT(test::statValue(a, "events"), 0u);
+            cfg.scheduler.policy = SchedulerPolicy::ParallelBatched;
+            EXPECT_TRUE(test::sameStats(runOnce(cfg, 3000, 6000), a));
+        }
     }
 }
 

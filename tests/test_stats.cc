@@ -7,53 +7,6 @@
 namespace fade
 {
 
-TEST(RunningStat, Empty)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStat, Basic)
-{
-    RunningStat s;
-    s.sample(1.0);
-    s.sample(2.0);
-    s.sample(3.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(RunningStat, MergeEqualsSamplingBothStreams)
-{
-    RunningStat a, b, both;
-    for (double v : {1.0, 4.0, 2.5}) {
-        a.sample(v);
-        both.sample(v);
-    }
-    for (double v : {0.5, 8.0}) {
-        b.sample(v);
-        both.sample(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), both.count());
-    EXPECT_DOUBLE_EQ(a.sum(), both.sum());
-    EXPECT_DOUBLE_EQ(a.mean(), both.mean());
-    EXPECT_DOUBLE_EQ(a.min(), both.min());
-    EXPECT_DOUBLE_EQ(a.max(), both.max());
-    EXPECT_DOUBLE_EQ(a.stddev(), both.stddev());
-
-    // Merging an empty stat is the identity (infinities must not leak
-    // into min/max).
-    RunningStat empty;
-    a.merge(empty);
-    EXPECT_DOUBLE_EQ(a.min(), both.min());
-    EXPECT_DOUBLE_EQ(a.max(), both.max());
-}
-
 TEST(Log2Histogram, BucketBoundaries)
 {
     EXPECT_EQ(Log2Histogram::bucketOf(0), 0u);

@@ -138,21 +138,28 @@ TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
     // For every topology in the matrix, both policies and a repeated
     // run of the per-cycle reference must agree bit for bit: the
     // scheduler's equality argument extends to clustered, multi-FADE
-    // systems. (Run-grain's policy invariance is pinned in
-    // tests/test_pipeline.cc and tests/test_threads.cc.)
-    for (unsigned clusters : {1u, 2u, 4u}) {
-        for (unsigned k : {1u, 2u}) {
-            SCOPED_TRACE("clusters=" + std::to_string(clusters) +
-                         " fades=" + std::to_string(k));
-            TopoRun ref = runTopology(4, "MemLeak", "hmmer", clusters, k);
-            for (auto pol : {SchedulerPolicy::Lockstep,
-                             SchedulerPolicy::ParallelBatched}) {
-                TopoRun t = runTopology(4, "MemLeak", "hmmer", clusters,
-                                        k, pol);
-                EXPECT_TRUE(test::sameStats(t.fingerprint, ref.fingerprint))
-                    << "policy=" << int(pol);
-                EXPECT_EQ(t.reports, ref.reports);
-            }
+    // systems. The matrix is every 4-shard shape plus fig12's largest,
+    // 8 shards x 4 clusters x 2 FADEs. (Run-grain's policy invariance
+    // is pinned in tests/test_pipeline.cc and tests/test_threads.cc.)
+    struct Shape
+    {
+        unsigned shards, clusters, fades;
+    };
+    const Shape shapes[] = {{4, 1, 1}, {4, 1, 2}, {4, 2, 1}, {4, 2, 2},
+                            {4, 4, 1}, {4, 4, 2}, {8, 4, 2}};
+    for (const Shape &s : shapes) {
+        SCOPED_TRACE(testing::Message() << s.shards << "x" << s.clusters
+                                        << "x" << s.fades);
+        TopoRun ref =
+            runTopology(s.shards, "MemLeak", "hmmer", s.clusters, s.fades);
+        EXPECT_GT(ref.result.totalEvents, 0u);
+        for (auto pol : {SchedulerPolicy::Lockstep,
+                         SchedulerPolicy::ParallelBatched}) {
+            TopoRun t = runTopology(s.shards, "MemLeak", "hmmer",
+                                    s.clusters, s.fades, pol);
+            EXPECT_TRUE(test::sameStats(t.fingerprint, ref.fingerprint))
+                << "policy=" << int(pol);
+            EXPECT_EQ(t.reports, ref.reports);
         }
     }
 }
@@ -211,6 +218,8 @@ TEST(Topology, RollupSumsOverShardsAndClusters)
         EXPECT_EQ(r.cycles, maxCycles);
         EXPECT_EQ(r.l2LocalAccesses, local);
         EXPECT_EQ(r.l2RemoteAccesses, remote);
+        // Clustered routing really sends traffic to remote slices.
+        EXPECT_GT(r.l2RemoteAccesses, 0u);
     }
 }
 

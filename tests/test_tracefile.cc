@@ -4,10 +4,11 @@
  *
  * - ReplayMatrix: capture -> replay is bit-identical (result
  *   fingerprint hash) for every monitor, across shard counts, both
- *   scheduler policies, and flat vs clustered topology.
+ *   scheduler policies, and flat vs clustered topology, under each
+ *   engine (a capture replays on the engine that captured it).
  * - CaptureDoesNotPerturb: teeing the generator through CaptureSource
- *   leaves the live run's full fingerprint vector untouched, and the
- *   captured bytes are policy-invariant.
+ *   leaves the live run's full fingerprint vector untouched under
+ *   either engine, and the captured bytes are policy-invariant.
  * - RoundTripFuzz: randomized records (edge-case addresses included)
  *   survive encode/decode field for field; corrupted and truncated
  *   files fail with TraceError, never UB (run under ASan/UBSan in CI).
@@ -82,24 +83,25 @@ matrixConfig(const char *monitor, const char *bench, unsigned shards,
     return cfg;
 }
 
-std::vector<std::uint64_t>
+StatVector
 drive(MultiCoreSystem &sys, std::uint64_t warm, std::uint64_t run)
 {
     sys.warmup(warm);
     MultiCoreResult r = sys.run(run);
-    return resultFingerprint(sys, r);
+    return resultStats(sys, r);
 }
 
-/** Capture a run into @p path; returns its fingerprint hash. */
-std::uint64_t
+/** Capture a run into @p path, sealed with its fingerprint hash;
+ *  returns its fingerprint. */
+StatVector
 captureTo(const std::string &path, MultiCoreConfig cfg,
           std::uint64_t warm, std::uint64_t run)
 {
     cfg.traceOut = path;
     MultiCoreSystem sys(cfg);
-    std::uint64_t h = fingerprintHash(drive(sys, warm, run));
-    sys.closeTrace(h);
-    return h;
+    StatVector fp = drive(sys, warm, run);
+    sys.closeTrace(fingerprintHash(fp.values));
+    return fp;
 }
 
 /** Replay @p path under the given policy/engine; returns the hash. */
@@ -112,11 +114,12 @@ replayHash(const std::string &path, SchedulerPolicy pol, Engine eng)
     MultiCoreSystem sys(cfg);
     const TraceManifest &m = sys.traceReader()->manifest();
     return fingerprintHash(
-        drive(sys, m.warmupInstructions, m.measureInstructions));
+        drive(sys, m.warmupInstructions, m.measureInstructions).values);
 }
 
-/** Capture one monitor on three shapes; replay each under both
- *  policies and demand the captured hash. */
+/** Capture one monitor on three shapes under each engine; replay each
+ *  capture under both policies on the engine that captured it and
+ *  demand the captured hash. */
 void
 checkReplayMatrix(const char *monitor, const char *bench)
 {
@@ -125,19 +128,27 @@ checkReplayMatrix(const char *monitor, const char *bench)
         unsigned shards, clusters, fades;
     };
     const Shape shapes[] = {{1, 1, 1}, {4, 1, 1}, {4, 2, 2}};
-    for (const Shape &s : shapes) {
-        TempTrace t;
-        std::uint64_t h =
-            captureTo(t.path(),
-                      matrixConfig(monitor, bench, s.shards, s.clusters,
-                                   s.fades),
-                      kWarm, kRun);
-        for (SchedulerPolicy pol : {SchedulerPolicy::Lockstep,
-                                    SchedulerPolicy::ParallelBatched})
-            EXPECT_EQ(replayHash(t.path(), pol, Engine::PerCycle), h)
-                << monitor << "/" << bench << " " << s.shards << "x"
-                << s.clusters << "x" << s.fades << " policy="
-                << int(pol);
+    for (Engine eng : {Engine::PerCycle, Engine::RunGrain}) {
+        for (const Shape &s : shapes) {
+            SCOPED_TRACE(testing::Message() << monitor << "/" << bench
+                                            << " " << engineName(eng) << " "
+                                            << s.shards << "x" << s.clusters
+                                            << "x" << s.fades);
+            MultiCoreConfig cfg =
+                matrixConfig(monitor, bench, s.shards, s.clusters, s.fades);
+            cfg.engine = eng;
+            TempTrace t;
+            StatVector live = captureTo(t.path(), cfg, kWarm, kRun);
+            // Non-vacuous wherever a monitor sees events.
+            if (*monitor) {
+                EXPECT_GT(test::statValue(live, "events"), 0u);
+            }
+            for (SchedulerPolicy pol : {SchedulerPolicy::Lockstep,
+                                        SchedulerPolicy::ParallelBatched})
+                EXPECT_EQ(replayHash(t.path(), pol, eng),
+                          fingerprintHash(live.values))
+                    << "policy=" << int(pol);
+        }
     }
 }
 
@@ -303,18 +314,23 @@ TEST(ReplayMatrix, UnmonitoredBaseline)
 
 TEST(Capture, DoesNotPerturbLiveRun)
 {
-    MultiCoreConfig cfg = matrixConfig("MemLeak", "hmmer", 2, 1, 1);
-    MultiCoreSystem live(cfg);
-    std::vector<std::uint64_t> liveFp = drive(live, kWarm, kRun);
+    for (Engine eng : {Engine::PerCycle, Engine::RunGrain}) {
+        SCOPED_TRACE(engineName(eng));
+        MultiCoreConfig cfg = matrixConfig("MemLeak", "hmmer", 2, 1, 1);
+        cfg.engine = eng;
+        MultiCoreSystem live(cfg);
+        StatVector liveFp = drive(live, kWarm, kRun);
+        EXPECT_GT(test::statValue(liveFp, "events"), 0u);
 
-    TempTrace t;
-    cfg.traceOut = t.path();
-    MultiCoreSystem taped(cfg);
-    std::vector<std::uint64_t> tapedFp = drive(taped, kWarm, kRun);
-    taped.closeTrace(fingerprintHash(tapedFp));
+        TempTrace t;
+        cfg.traceOut = t.path();
+        MultiCoreSystem taped(cfg);
+        StatVector tapedFp = drive(taped, kWarm, kRun);
+        taped.closeTrace(fingerprintHash(tapedFp.values));
 
-    // Full vectors, not just hashes: capture must be invisible.
-    EXPECT_EQ(liveFp, tapedFp);
+        // Full vectors, not just hashes: capture must be invisible.
+        EXPECT_TRUE(test::sameStats(liveFp, tapedFp));
+    }
 }
 
 TEST(Capture, BytesPolicyInvariant)
@@ -329,17 +345,6 @@ TEST(Capture, BytesPolicyInvariant)
     cfg.scheduler.policy = SchedulerPolicy::ParallelBatched;
     captureTo(b.path(), cfg, kWarm, kRun);
     EXPECT_EQ(readFile(a.path()), readFile(b.path()));
-}
-
-TEST(Capture, ConfigFingerprintStamped)
-{
-    TempTrace t;
-    MultiCoreConfig cfg = matrixConfig("AddrCheck", "astar", 1, 1, 1);
-    captureTo(t.path(), cfg, 100, 200);
-    cfg.traceOut.clear();
-    TraceReader r(t.path());
-    EXPECT_EQ(r.configFingerprint(), traceConfigFingerprint(cfg));
-    EXPECT_NE(r.configFingerprint(), 0u);
 }
 
 // ---------------------------------------------------------------------
