@@ -4,107 +4,38 @@
  * per-monitor headline numbers — app IPC, monitored IPC, filtering
  * ratio, and slowdowns — so profile constants can be tuned against the
  * paper's reported values. Not one of the reproduced figures, but kept
- * as a convenient overview binary.
+ * as a convenient overview binary. It measures with the figure
+ * harnesses' slices, benchmark lists and baselines (bench/common.hh),
+ * so its slowdown cells equal Fig. 9's.
  */
 
-#include <cstdio>
-#include <memory>
-
-#include "monitor/factory.hh"
-#include "sim/table.hh"
-#include "system/system.hh"
-#include "trace/profile.hh"
+#include "bench/common.hh"
 
 using namespace fade;
-
-namespace
-{
-
-constexpr std::uint64_t warmN = 30000;
-constexpr std::uint64_t runN = 120000;
-
-struct Line
-{
-    double appIpc;
-    double monIpc;
-    double filtering;
-    double slowUnacc;
-    double slowFade;
-};
-
-Line
-measure(const std::string &mon, const BenchProfile &prof)
-{
-    Line ln{};
-
-    // Unmonitored baseline.
-    SystemConfig base;
-    base.accelerated = false;
-    MonitoringSystem sysBase(base, prof, nullptr);
-    sysBase.warmup(warmN);
-    RunResult rb = sysBase.run(runN);
-
-    // Producer-side measurement (ideal consumer, unbounded queue).
-    {
-        SystemConfig cfg;
-        cfg.perfectConsumer = true;
-        cfg.eqCapacity = 0;
-        auto m = makeMonitor(mon);
-        MonitoringSystem sys(cfg, prof, m.get());
-        sys.warmup(warmN);
-        RunResult r = sys.run(runN);
-        ln.appIpc = r.appIpc;
-        ln.monIpc = r.monitoredIpc;
-    }
-
-    // Unaccelerated single-core dual-threaded.
-    {
-        SystemConfig cfg;
-        cfg.accelerated = false;
-        auto m = makeMonitor(mon);
-        MonitoringSystem sys(cfg, prof, m.get());
-        sys.warmup(warmN);
-        RunResult r = sys.run(runN);
-        ln.slowUnacc = double(r.cycles) / rb.cycles;
-    }
-
-    // FADE single-core dual-threaded.
-    {
-        SystemConfig cfg;
-        cfg.accelerated = true;
-        auto m = makeMonitor(mon);
-        MonitoringSystem sys(cfg, prof, m.get());
-        sys.warmup(warmN);
-        RunResult r = sys.run(runN);
-        ln.slowFade = double(r.cycles) / rb.cycles;
-        ln.filtering = sys.fade()->stats().filteringRatio();
-    }
-    return ln;
-}
-
-} // namespace
+using namespace fade::bench;
 
 int
 main()
 {
     std::printf("== calibration overview ==\n");
-    for (const auto &mon : monitorNames()) {
-        bool parallel = mon == "AtomCheck";
-        const auto &benches = parallel
-                                  ? parallelBenchmarks()
-                                  : (mon == "TaintCheck"
-                                         ? taintBenchmarks()
-                                         : specBenchmarks());
+    for (const auto &mon : paperMonitorNames()) {
         TextTable t;
         t.header({"bench", "appIPC", "monIPC", "filter%", "unaccX",
                   "fadeX"});
-        for (const auto &b : benches) {
-            BenchProfile prof =
-                parallel ? parallelProfile(b) : specProfile(b);
-            Line ln = measure(mon, prof);
-            t.row({b, fmt("%.2f", ln.appIpc), fmt("%.2f", ln.monIpc),
-                   fmtPct(ln.filtering), fmtX(ln.slowUnacc),
-                   fmtX(ln.slowFade)});
+        for (const auto &b : benchmarksFor(mon)) {
+            BenchProfile prof = profileFor(mon, b);
+            // Producer side: ideal consumer, unbounded event queue.
+            SystemConfig ideal;
+            ideal.perfectConsumer = true;
+            ideal.eqCapacity = 0;
+            Measured mi = measure(ideal, mon, prof);
+            SystemConfig unacc;
+            unacc.accelerated = false;
+            Measured mu = measure(unacc, mon, prof);
+            Measured mf = measure(SystemConfig{}, mon, prof);
+            t.row({b, fmt("%.2f", mi.run.appIpc),
+                   fmt("%.2f", mi.run.monitoredIpc), fmtPct(mf.filtering),
+                   fmtX(mu.slowdown), fmtX(mf.slowdown)});
         }
         std::printf("\n-- %s --\n", mon.c_str());
         t.print();

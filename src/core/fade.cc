@@ -103,9 +103,46 @@ Fade::mdReadLatency(const EventTableEntry &e, const MonEvent &ev)
 }
 
 void
-Fade::recordSoftwareBound(const MonEvent &ev)
+Fade::countFiltered(const MonEvent &ev, const FilterOutcome &out)
 {
-    (void)ev;
+    ++stats_.instEvents;
+    ++stats_.filtered;
+    if (ev.eventId < numCanonicalEvents)
+        ++stats_.filteredById[ev.eventId];
+    if (out.ccPassed)
+        ++stats_.filteredCC;
+    else if (out.ruPassed)
+        ++stats_.filteredRU;
+    ++sinceUnfiltered_;
+}
+
+void
+Fade::forward(const MonEvent &ev, const FilterOutcome *out)
+{
+    UnfilteredEvent *u = ueq_->pushSlot();
+    panic_if(!u, "UEQ push rejected");
+    u->ev = ev;
+    u->handlerPc = out ? out->handlerPc : 0;
+    u->checkPassed = out && out->checkPassed;
+    u->hwChecked = out != nullptr;
+    ++outstanding_;
+
+    if (!out) {
+        ++stats_.highLevelEvents;
+    } else {
+        ++stats_.instEvents;
+        if (ev.eventId < numCanonicalEvents)
+            ++stats_.softwareById[ev.eventId];
+        if (!out->partial)
+            ++stats_.unfiltered;
+        else if (out->checkPassed)
+            ++stats_.partialPass;
+        else
+            ++stats_.partialFail;
+    }
+
+    // Distance since the previous software-bound event, and bursts
+    // under the paper's <=16-distance rule (Fig. 4).
     stats_.unfDistance.sample(sinceUnfiltered_);
     if (haveBurst_ && sinceUnfiltered_ <= 16) {
         ++curBurst_;
@@ -119,6 +156,14 @@ Fade::recordSoftwareBound(const MonEvent &ev)
 }
 
 void
+Fade::startStackUpdate(const MonEvent &ev)
+{
+    if (onStackUpdate)
+        onStackUpdate(ev);
+    suu_.start(ev.appAddr, ev.len, ev.kind == EventKind::StackCall);
+}
+
+void
 Fade::finalizeBursts()
 {
     if (haveBurst_) {
@@ -129,9 +174,8 @@ Fade::finalizeBursts()
 }
 
 bool
-Fade::advanceMw(Cycle now)
+Fade::advanceMw()
 {
-    (void)now;
     PipeSlot &mw = stage(SMw);
     if (!mw.valid)
         return true;
@@ -151,9 +195,8 @@ Fade::advanceMw(Cycle now)
 }
 
 void
-Fade::advanceFilter(Cycle now)
+Fade::advanceFilter()
 {
-    (void)now;
     PipeSlot &filt = stage(SFilt);
     if (!filt.valid)
         return;
@@ -162,17 +205,8 @@ Fade::advanceFilter(Cycle now)
         return;
     }
 
-    const FilterOutcome &out = filt.out;
-    if (out.filtered) {
-        ++stats_.instEvents;
-        ++stats_.filtered;
-        if (filt.ev.eventId < numCanonicalEvents)
-            ++stats_.filteredById[filt.ev.eventId];
-        if (out.ccPassed)
-            ++stats_.filteredCC;
-        else if (out.ruPassed)
-            ++stats_.filteredRU;
-        ++sinceUnfiltered_;
+    if (filt.out.filtered) {
+        countFiltered(filt.ev, filt.out);
         latchDrain(filt);
         return;
     }
@@ -183,26 +217,7 @@ Fade::advanceFilter(Cycle now)
         ++stats_.stallUeqFull;
         return;
     }
-
-    UnfilteredEvent *u = ueq_->pushSlot();
-    u->ev = filt.ev;
-    u->handlerPc = out.handlerPc;
-    u->checkPassed = out.checkPassed;
-    u->hwChecked = true;
-    ++outstanding_;
-
-    ++stats_.instEvents;
-    if (filt.ev.eventId < numCanonicalEvents)
-        ++stats_.softwareById[filt.ev.eventId];
-    if (out.partial) {
-        if (out.checkPassed)
-            ++stats_.partialPass;
-        else
-            ++stats_.partialFail;
-    } else {
-        ++stats_.unfiltered;
-    }
-    recordSoftwareBound(filt.ev);
+    forward(filt.ev, &filt.out);
 
     if (params_.nonBlocking) {
         const EventTableEntry &e = table_.lookup(filt.ev.eventId);
@@ -263,7 +278,7 @@ Fade::advanceEtr()
 }
 
 void
-Fade::frontEnd(Cycle now)
+Fade::frontEnd()
 {
     switch (front_) {
       case FrontState::Normal: {
@@ -305,12 +320,8 @@ Fade::frontEnd(Cycle now)
                 ++stats_.stallUeqFull;
                 return;
             }
-            UnfilteredEvent u;
-            popEventInto(u.ev);
-            ueq_->push(u);
-            ++outstanding_;
-            ++stats_.highLevelEvents;
-            recordSoftwareBound(u.ev);
+            popEventInto(pendingFront_);
+            forward(pendingFront_, nullptr);
         }
         break;
       }
@@ -322,12 +333,8 @@ Fade::frontEnd(Cycle now)
             ++stats_.stallDrain;
             return;
         }
-        if (onStackUpdate)
-            onStackUpdate(pendingFront_);
-        suu_.start(pendingFront_.appAddr, pendingFront_.len,
-                   pendingFront_.kind == EventKind::StackCall);
+        startStackUpdate(pendingFront_);
         front_ = FrontState::SuuActive;
-        (void)now;
         break;
       }
       case FrontState::WaitDrainHigh: {
@@ -335,12 +342,7 @@ Fade::frontEnd(Cycle now)
             ++stats_.stallDrain;
             return;
         }
-        UnfilteredEvent u;
-        u.ev = pendingFront_;
-        ueq_->push(u);
-        ++outstanding_;
-        ++stats_.highLevelEvents;
-        recordSoftwareBound(u.ev);
+        forward(pendingFront_, nullptr);
         front_ = FrontState::WaitHighDone;
         break;
       }
@@ -391,13 +393,13 @@ Fade::tick(Cycle now)
         return;
     }
 
-    if (!advanceMw(now))
+    if (!advanceMw())
         return;
-    advanceFilter(now);
+    advanceFilter();
     advanceMdr(now);
     advanceCtrl();
     advanceEtr();
-    frontEnd(now);
+    frontEnd();
 }
 
 RunGrainEventOutcome
@@ -419,10 +421,7 @@ Fade::processEventRunGrain(const MonEvent &ev)
         o.kind = RunGrainEventOutcome::Kind::Stack;
         o.serialize = true;
         ++stats_.stackEvents;
-        if (onStackUpdate)
-            onStackUpdate(ev);
-        suu_.start(ev.appAddr, ev.len,
-                   ev.kind == EventKind::StackCall);
+        startStackUpdate(ev);
         unsigned cycles = 0;
         while (suu_.busy()) {
             suu_.tick();
@@ -441,13 +440,7 @@ Fade::processEventRunGrain(const MonEvent &ev)
         o.kind = RunGrainEventOutcome::Kind::HighLevel;
         o.software = true;
         o.serialize = params_.drainOnHighLevel;
-        UnfilteredEvent *u = ueq_->pushSlot();
-        panic_if(!u, "run-grain UEQ push rejected");
-        *u = UnfilteredEvent{};
-        u->ev = ev;
-        ++outstanding_;
-        ++stats_.highLevelEvents;
-        recordSoftwareBound(ev);
+        forward(ev, nullptr);
         return o;
     }
 
@@ -460,39 +453,14 @@ Fade::processEventRunGrain(const MonEvent &ev)
     o.shots = out.shots;
     stats_.shots += out.shots;
     stats_.comparisons += out.blocksUsed;
-    ++stats_.instEvents;
 
     if (out.filtered) {
-        ++stats_.filtered;
-        if (ev.eventId < numCanonicalEvents)
-            ++stats_.filteredById[ev.eventId];
-        if (out.ccPassed)
-            ++stats_.filteredCC;
-        else if (out.ruPassed)
-            ++stats_.filteredRU;
-        ++sinceUnfiltered_;
+        countFiltered(ev, out);
         return o;
     }
 
     o.software = true;
-    UnfilteredEvent *u = ueq_->pushSlot();
-    panic_if(!u, "run-grain UEQ push rejected");
-    u->ev = ev;
-    u->handlerPc = out.handlerPc;
-    u->checkPassed = out.checkPassed;
-    u->hwChecked = true;
-    ++outstanding_;
-    if (ev.eventId < numCanonicalEvents)
-        ++stats_.softwareById[ev.eventId];
-    if (out.partial) {
-        if (out.checkPassed)
-            ++stats_.partialPass;
-        else
-            ++stats_.partialFail;
-    } else {
-        ++stats_.unfiltered;
-    }
-    recordSoftwareBound(ev);
+    forward(ev, &out);
 
     if (params_.nonBlocking) {
         auto val = computeMdUpdate(e.nb, md, inv_);

@@ -226,18 +226,19 @@ class Fade
     /**
      * Run-grain engine (Engine::RunGrain): process @p ev functionally,
      * end to end, without ticking the pipeline — the eager-serialized
-     * counterpart of one event's full traversal. Applies exactly the
-     * functional effects and verdict/distribution counters the
-     * per-cycle path applies (table lookup, metadata gather, filter
-     * evaluation, NB metadata update / FSQ push, UEQ forward, SUU
-     * writes, onStackUpdate bookkeeping) and returns the stage-time
-     * inputs for the engine's timing algebra. Legal only with the
-     * pipeline latches empty and at most one software handler in
-     * flight, which the eager-serialized driver guarantees; the
-     * caller runs the forwarded handler to completion (handlerDone())
-     * before the next call, so metadata gathers observe exactly the
-     * values the per-cycle forwarding paths (MW latch, FSQ) would
-     * forward.
+     * counterpart of one event's full traversal. It runs the same
+     * table lookup, metadata gather and filter evaluation as the
+     * stages, and the same outcome functions (countFiltered, forward,
+     * startStackUpdate) for the verdict counters, the UEQ forward and
+     * the SUU; the NB metadata update goes straight to the FSQ or the
+     * register metadata instead of through the MW latch, and the SUU
+     * is ticked to completion. Returns the stage-time inputs for the
+     * engine's timing algebra. Legal only with the pipeline latches
+     * empty and at most one software handler in flight, which the
+     * eager-serialized driver guarantees; the caller runs the
+     * forwarded handler to completion (handlerDone()) before the next
+     * call, so metadata gathers observe exactly the values the
+     * per-cycle forwarding paths (MW latch, FSQ) would forward.
      */
     RunGrainEventOutcome processEventRunGrain(const MonEvent &ev);
 
@@ -348,13 +349,28 @@ class Fade
     void popEventInto(MonEvent &dst);
     OperandMd gatherMd(const EventTableEntry &e, const MonEvent &ev) const;
     unsigned mdReadLatency(const EventTableEntry &e, const MonEvent &ev);
-    void recordSoftwareBound(const MonEvent &ev);
-    bool advanceMw(Cycle now);
-    void advanceFilter(Cycle now);
+
+    // Event outcomes, one implementation for both engines: the
+    // per-cycle stages call them once their gates (multi-shot wait,
+    // UEQ backpressure, drains) open; processEventRunGrain calls them
+    // directly.
+
+    /** Count @p ev as fully filtered under the verdict @p out. */
+    void countFiltered(const MonEvent &ev, const FilterOutcome &out);
+    /** Push @p ev to the UEQ for its software handler and count it:
+     *  an instruction event under the verdict @p out, or a high-level
+     *  event when @p out is null. The UEQ must have room. */
+    void forward(const MonEvent &ev, const FilterOutcome *out);
+    /** Hand the stack update @p ev to the monitor's bookkeeping
+     *  (onStackUpdate) and start the SUU on its frame. */
+    void startStackUpdate(const MonEvent &ev);
+
+    bool advanceMw();
+    void advanceFilter();
     void advanceMdr(Cycle now);
     void advanceCtrl();
     void advanceEtr();
-    void frontEnd(Cycle now);
+    void frontEnd();
 
     FadeParams params_;
     MonitorContext &ctx_;

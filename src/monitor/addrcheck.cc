@@ -12,20 +12,6 @@ namespace
 constexpr Addr pcLoad = handlerCodeBase + 0x000;
 constexpr Addr pcStore = handlerCodeBase + 0x100;
 
-/** Bulk metadata fill loop: ~2 instructions per 8 metadata bytes. */
-void
-bulkFill(SeqBuilder &b, Addr appBase, std::uint64_t lenBytes)
-{
-    b.alu().alu().aluDep();
-    std::uint64_t mdBytes = (lenBytes + wordSize - 1) / wordSize;
-    Addr md = mdAddrOf(appBase);
-    for (std::uint64_t off = 0; off < mdBytes; off += 8) {
-        b.alu(1);
-        b.store(md + off);
-    }
-    b.branch();
-}
-
 } // namespace
 
 bool
@@ -137,7 +123,7 @@ AddrCheck::buildHandlerSeq(const UnfilteredEvent &u,
       case EventKind::Free:
       case EventKind::StackCall:
       case EventKind::StackReturn:
-        bulkFill(b, ev.appAddr, ev.len);
+        b.bulkFill(ev.appAddr, ev.len);
         break;
       default:
         b.alu();

@@ -219,17 +219,9 @@ AtomCheck::buildHandlerSeq(const UnfilteredEvent &u,
         break;
       }
       case EventKind::StackCall:
-      case EventKind::StackReturn: {
-        b.alu().alu().aluDep();
-        std::uint64_t mdBytes = (ev.len + wordSize - 1) / wordSize;
-        Addr md = mdAddrOf(ev.appAddr);
-        for (std::uint64_t off = 0; off < mdBytes; off += 8) {
-            b.alu(1);
-            b.store(md + off);
-        }
-        b.branch();
+      case EventKind::StackReturn:
+        b.bulkFill(ev.appAddr, ev.len);
         break;
-      }
       default:
         b.alu();
         break;

@@ -15,19 +15,6 @@ handlerPcFor(unsigned eventId)
     return handlerCodeBase + 0x3000 + eventId * 0x100;
 }
 
-void
-bulkFill(SeqBuilder &b, Addr appBase, std::uint64_t lenBytes)
-{
-    b.alu().alu().aluDep();
-    std::uint64_t mdBytes = (lenBytes + wordSize - 1) / wordSize;
-    Addr md = mdAddrOf(appBase);
-    for (std::uint64_t off = 0; off < mdBytes; off += 8) {
-        b.alu(1);
-        b.store(md + off);
-    }
-    b.branch();
-}
-
 } // namespace
 
 bool
@@ -328,18 +315,18 @@ MemLeak::buildHandlerSeq(const UnfilteredEvent &u,
         // Create the context, clear the region metadata.
         b.alu().aluDep().store(monTableBase + 0x10000);
         b.alu().store(monTableBase + 0x10008);
-        bulkFill(b, ev.appAddr, ev.len);
+        b.bulkFill(ev.appAddr, ev.len);
         break;
       }
       case EventKind::Free: {
         b.load(monTableBase + 0x10000);
         b.aluDep().branch();
-        bulkFill(b, ev.appAddr, ev.len);
+        b.bulkFill(ev.appAddr, ev.len);
         break;
       }
       case EventKind::StackCall:
       case EventKind::StackReturn:
-        bulkFill(b, ev.appAddr, ev.len);
+        b.bulkFill(ev.appAddr, ev.len);
         break;
       default:
         b.alu();

@@ -10,7 +10,6 @@ namespace
 {
 
 constexpr Addr pcAccess = handlerCodeBase + 0x5000;
-constexpr Addr pcSync = handlerCodeBase + 0x5100;
 
 } // namespace
 

@@ -10,7 +10,6 @@ namespace
 {
 
 constexpr Addr pcAccess = handlerCodeBase + 0x6000;
-constexpr Addr pcHighLevel = handlerCodeBase + 0x6100;
 
 } // namespace
 

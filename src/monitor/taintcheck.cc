@@ -23,19 +23,6 @@ enum ChainSlot : unsigned
     chMul,
 };
 
-void
-bulkFill(SeqBuilder &b, Addr appBase, std::uint64_t lenBytes)
-{
-    b.alu().alu().aluDep();
-    std::uint64_t mdBytes = (lenBytes + wordSize - 1) / wordSize;
-    Addr md = mdAddrOf(appBase);
-    for (std::uint64_t off = 0; off < mdBytes; off += 8) {
-        b.alu(1);
-        b.store(md + off);
-    }
-    b.branch();
-}
-
 } // namespace
 
 bool
@@ -218,7 +205,7 @@ TaintCheck::buildHandlerSeq(const UnfilteredEvent &u,
       case EventKind::Free:
       case EventKind::StackCall:
       case EventKind::StackReturn:
-        bulkFill(b, ev.appAddr, ev.len);
+        b.bulkFill(ev.appAddr, ev.len);
         break;
       default:
         b.alu();

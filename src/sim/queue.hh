@@ -5,22 +5,19 @@
  * application core and FADE, and the 16-entry unfiltered event queue
  * between FADE and the monitor (Sections 3.2 and 3.4 of the paper).
  *
- * Storage is a ring buffer (bounded queues allocate exactly once, at
- * construction; unbounded queues grow by doubling), replacing the
- * per-block churn of the previous std::deque implementation on the
- * event-transport hot path. popRun() retires several entries at once
- * and is accounted exactly as that many pop() calls.
+ * Entries live in a RingDeque sized to the capacity, so a bounded queue
+ * allocates once, at construction, and an unbounded one grows by
+ * doubling. popRun() retires several entries at once and is accounted
+ * exactly as that many pop() calls.
  */
 
 #ifndef FADE_SIM_QUEUE_HH
 #define FADE_SIM_QUEUE_HH
 
 #include <cstddef>
-#include <iterator>
 #include <utility>
-#include <vector>
 
-#include "sim/logging.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace fade
@@ -37,18 +34,18 @@ class BoundedQueue
 {
   public:
     explicit BoundedQueue(std::size_t capacity = 0)
-        : capacity_(capacity), buf_(capacity ? capacity : minUnboundedSlots)
+        : capacity_(capacity), ring_(capacity)
     {}
 
     /** True when a push would be rejected. */
     bool
     full() const
     {
-        return capacity_ != 0 && count_ >= capacity_;
+        return capacity_ != 0 && ring_.size() >= capacity_;
     }
 
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
+    bool empty() const { return ring_.empty(); }
+    std::size_t size() const { return ring_.size(); }
     std::size_t capacity() const { return capacity_; }
 
     /**
@@ -80,38 +77,22 @@ class BoundedQueue
             ++rejects_;
             return nullptr;
         }
-        if (count_ == buf_.size())
-            grow();
-        T *slot = &buf_[wrap(head_ + count_)];
-        ++count_;
+        T &slot = ring_.pushSlot();
         ++pushes_;
-        occupancy_.sample(count_);
-        return slot;
+        occupancy_.sample(ring_.size());
+        return &slot;
     }
 
     /** Front entry; queue must be non-empty. */
-    const T &
-    front() const
-    {
-        panic_if(empty(), "front() on empty queue");
-        return buf_[head_];
-    }
-
-    T &
-    front()
-    {
-        panic_if(empty(), "front() on empty queue");
-        return buf_[head_];
-    }
+    const T &front() const { return ring_.front(); }
+    T &front() { return ring_.front(); }
 
     /** Remove and return the front entry; queue must be non-empty. */
     T
     pop()
     {
-        panic_if(empty(), "pop() on empty queue");
-        T v = std::move(buf_[head_]);
-        head_ = wrap(head_ + 1);
-        --count_;
+        T v = std::move(ring_.front());
+        ring_.pop_front();
         ++pops_;
         return v;
     }
@@ -126,58 +107,14 @@ class BoundedQueue
     std::size_t
     popRun(std::size_t n)
     {
-        std::size_t k = n < count_ ? n : count_;
-        head_ = wrap(head_ + k);
-        count_ -= k;
+        std::size_t k = n < ring_.size() ? n : ring_.size();
+        for (std::size_t i = 0; i < k; ++i)
+            ring_.pop_front();
         pops_ += k;
         return k;
     }
 
-    void
-    clear()
-    {
-        head_ = 0;
-        count_ = 0;
-    }
-
-    /** Iteration support (associative searches in tests/tools). */
-    template <typename Q, typename V>
-    class Iter
-    {
-      public:
-        using iterator_category = std::forward_iterator_tag;
-        using value_type = T;
-        using difference_type = std::ptrdiff_t;
-        using pointer = V *;
-        using reference = V &;
-
-        Iter(Q *q, std::size_t i) : q_(q), i_(i) {}
-        V &operator*() const { return q_->buf_[q_->wrap(q_->head_ + i_)]; }
-        V *operator->() const { return &**this; }
-        Iter &
-        operator++()
-        {
-            ++i_;
-            return *this;
-        }
-        bool
-        operator==(const Iter &o) const
-        {
-            return q_ == o.q_ && i_ == o.i_;
-        }
-        bool operator!=(const Iter &o) const { return !(*this == o); }
-
-      private:
-        Q *q_;
-        std::size_t i_;
-    };
-    using iterator = Iter<BoundedQueue, T>;
-    using const_iterator = Iter<const BoundedQueue, const T>;
-
-    iterator begin() { return {this, 0}; }
-    iterator end() { return {this, count_}; }
-    const_iterator begin() const { return {this, 0}; }
-    const_iterator end() const { return {this, count_}; }
+    void clear() { ring_.clear(); }
 
     /**
      * Account one entry that transited this queue without ever being
@@ -209,29 +146,8 @@ class BoundedQueue
     }
 
   private:
-    static constexpr std::size_t minUnboundedSlots = 16;
-
-    std::size_t
-    wrap(std::size_t i) const
-    {
-        return i >= buf_.size() ? i - buf_.size() : i;
-    }
-
-    /** Unbounded queues double their storage, re-linearized. */
-    void
-    grow()
-    {
-        std::vector<T> next(buf_.size() * 2);
-        for (std::size_t i = 0; i < count_; ++i)
-            next[i] = std::move(buf_[wrap(head_ + i)]);
-        buf_ = std::move(next);
-        head_ = 0;
-    }
-
     std::size_t capacity_;
-    std::vector<T> buf_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+    RingDeque<T> ring_;
     std::uint64_t pushes_ = 0;
     std::uint64_t pops_ = 0;
     std::uint64_t rejects_ = 0;

@@ -3,9 +3,10 @@
  * Growable ring-buffer deque. The trace generator stages pending
  * instructions (allocator bookkeeping, init stores, spills) through a
  * FIFO that sees one push and one pop for a large fraction of all
- * generated instructions, and every core keeps its reorder buffer in
- * one; std::deque pays block-map indirection and block churn on exactly
- * those paths. RingDeque keeps the live window in one contiguous
+ * generated instructions, every core keeps its reorder buffer in one,
+ * and BoundedQueue (sim/queue.hh) keeps the decoupling queues' entries
+ * in one; std::deque pays block-map indirection and block churn on
+ * exactly those paths. RingDeque keeps the live window in one contiguous
  * power-of-two buffer: push/pop are an index bump against a cached
  * mask, and the buffer doubles (rarely) when full. Mid-insertion is
  * supported for the generator's cold splice paths (startup mallocs,

@@ -217,10 +217,6 @@ class MultiCoreSystem
     }
     Monitor *monitor(unsigned i) { return monitors_.at(i).get(); }
 
-    /** Shared-L2 slice 0 — the whole shared L2 in the flat 1-cluster
-     *  system; use directory() for the other slices. */
-    const Cache &sharedL2() const { return dir_.slice(0); }
-
     /** The clustered last-level cache behind all shards. */
     HomeDirectory &directory() { return dir_; }
     const HomeDirectory &directory() const { return dir_; }

@@ -17,12 +17,14 @@
  *  - FUNCTIONAL results are produced by the same components the
  *    per-cycle engine uses, invoked in eager-serialized order: the
  *    same instruction source calls, the same EventProducer emission,
- *    Fade::processEventRunGrain (gather/evaluate/counters verbatim,
- *    SUU ticked to completion), the same MonitorProcess handler
- *    construction and Monitor functional calls. Instruction stream,
- *    event stream, filter verdicts, handler counts and bug reports
- *    are bit-identical to PerCycle (MultiCoreSystem::
- *    functionalFingerprint, enforced by tests/test_pipeline.cc).
+ *    Fade::processEventRunGrain (the reference gather/evaluate, the
+ *    per-cycle stages' outcome functions countFiltered/forward/
+ *    startStackUpdate, SUU ticked to completion), the same
+ *    MonitorProcess handler construction and Monitor functional
+ *    calls. Instruction stream, event stream, filter verdicts,
+ *    handler counts and bug reports are bit-identical to PerCycle
+ *    (MultiCoreSystem::functionalFingerprint, enforced by
+ *    tests/test_pipeline.cc).
  *
  *  - TIMING is modeled: per-thread dispatch/commit recurrences, a
  *    per-unit ETR/CTRL/MDR/FILTER entry-time algebra, modeled queue

@@ -283,7 +283,6 @@ class MonitoringSystem
         return fades_ ? fades_->stats() : FadeStats{};
     }
     Monitor *monitor() { return mon_; }
-    MonitorContext &context() { return ctx_; }
     const BoundedQueue<MonEvent> &eventQueue() const { return eq_; }
     const MonitorProcess *monitorProcess() const { return mproc_.get(); }
     Cycle now() const { return now_; }

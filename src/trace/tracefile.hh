@@ -172,7 +172,6 @@ class TraceWriter
     /** Flush every stream, write footer + end magic, close the file. */
     void close();
 
-    bool closed() const { return closed_; }
     const std::string &path() const { return path_; }
     std::uint64_t records(unsigned stream) const;
 

@@ -40,11 +40,12 @@ baseConfig(unsigned shards)
 }
 
 StatVector
-runOnce(MultiCoreConfig cfg)
+runOnce(MultiCoreConfig cfg, std::uint64_t warm = kWarm,
+        std::uint64_t run = kRun)
 {
     MultiCoreSystem sys(cfg);
-    sys.warmup(kWarm);
-    MultiCoreResult r = sys.run(kRun);
+    sys.warmup(warm);
+    MultiCoreResult r = sys.run(run);
     return resultStats(sys, r);
 }
 
@@ -118,6 +119,32 @@ TEST(Scheduler, ParallelBitIdenticalAcrossSliceSizes)
         par.scheduler.hostThreads = 3; // workers != shards on purpose
         EXPECT_TRUE(test::sameStats(runOnce(lock), runOnce(par)));
     }
+
+    // The hmmer mix gives one result at every slice size, so it cannot
+    // tell a policy that places barriers differently from Lockstep.
+    // Eight copies of mcf contend for L2 lines within a slice: their
+    // result depends on the slice size, so agreement at each size
+    // checks that ParallelBatched keeps Lockstep's barriers.
+    MultiCoreConfig mcf;
+    mcf.numShards = 8;
+    mcf.monitor = "AddrCheck";
+    mcf.workloads = {specProfile("mcf")};
+    std::vector<StatVector> bySize;
+    for (std::uint64_t slice : {1024ull, 4096ull, 16384ull}) {
+        SCOPED_TRACE(slice);
+        MultiCoreConfig lock = mcf;
+        lock.scheduler.sliceTicks = slice;
+        MultiCoreConfig par = lock;
+        par.scheduler.policy = SchedulerPolicy::ParallelBatched;
+        par.scheduler.hostThreads = 3;
+        bySize.push_back(runOnce(lock, 40000, 60000));
+        EXPECT_TRUE(
+            test::sameStats(bySize.back(), runOnce(par, 40000, 60000)));
+    }
+    EXPECT_FALSE(bySize[0].values == bySize[1].values &&
+                 bySize[1].values == bySize[2].values)
+        << "every slice size gave the same result: the shape no longer "
+           "depends on barrier placement";
 }
 
 TEST(Scheduler, ParallelDeterministicAcrossRepeatedRuns)

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <set>
-#include <vector>
 
 #include "sim/queue.hh"
 #include "sim/random.hh"
@@ -226,27 +224,6 @@ TEST(BoundedQueue, UnboundedGrowthPreservesOrderAfterWrap)
     for (int i = 10; i < 100; ++i)
         ASSERT_EQ(q.pop(), i);
     EXPECT_TRUE(q.empty());
-}
-
-TEST(BoundedQueue, IterationMatchesFifoOrderAcrossWrap)
-{
-    BoundedQueue<int> q(4);
-    q.push(0);
-    q.push(1);
-    q.push(2);
-    q.pop();
-    q.pop();
-    q.push(3);
-    q.push(4); // contents {2, 3, 4}, physically wrapped
-    std::vector<int> seen;
-    for (int v : q)
-        seen.push_back(v);
-    EXPECT_EQ(seen, (std::vector<int>{2, 3, 4}));
-    const BoundedQueue<int> &cq = q;
-    seen.clear();
-    for (const int &v : cq)
-        seen.push_back(v);
-    EXPECT_EQ(seen, (std::vector<int>{2, 3, 4}));
 }
 
 TEST(BoundedQueue, PopRunDiscardsAndCounts)
