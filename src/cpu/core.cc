@@ -162,12 +162,15 @@ Core::runGrainThreadStats(unsigned t)
 unsigned
 Core::runGrainExecLatency(const Instruction &inst)
 {
-    // Mirrors the latency selection (and the cache side effects) of
-    // dispatchInst() exactly; the run-grain engine decides *when* the
-    // access lands, this decides *what* it costs.
+    // dispatchInst() takes its latency from here too, so both engines
+    // select it, and touch the cache, identically; the run-grain
+    // engine decides *when* the access lands, this decides *what* it
+    // costs.
     if (inst.cls == InstClass::Load)
         return l1d_ ? l1d_->access(inst.memAddr, false) : 2;
     if (inst.cls == InstClass::Store) {
+        // Stores retire through a store buffer: keep the tags warm but
+        // do not stall the dependence chain.
         if (l1d_)
             l1d_->access(inst.memAddr, true);
         return 1;
@@ -175,15 +178,9 @@ Core::runGrainExecLatency(const Instruction &inst)
     return execLatency(inst.cls);
 }
 
-unsigned
-Core::robCapacity() const
-{
-    // Static partitioning between hardware threads (cached: this sits
-    // on every commit/dispatch test).
-    return robCap_;
-}
-
-bool
+// The per-slot steps are inline: tick() runs them for every slot of
+// every cycle.
+inline bool
 Core::tryCommitOne(HwThread &t, Cycle now)
 {
     if (t.rob.empty())
@@ -195,15 +192,14 @@ Core::tryCommitOne(HwThread &t, Cycle now)
         ++t.stats.sinkStallCycles;
         return false;
     }
-    ++t.stats.retired;
     t.rob.pop_front();
     return true;
 }
 
-bool
+inline bool
 Core::tryDispatchOne(HwThread &t, Cycle now)
 {
-    if (t.rob.size() >= robCapacity())
+    if (t.rob.size() >= robCap_)
         return false;
     if (now < t.fetchStallUntil)
         return false;
@@ -214,25 +210,26 @@ Core::tryDispatchOne(HwThread &t, Cycle now)
     InstSpan s = t.src->fetchSpan(1);
     if (s.empty())
         return false;
+    // Time the fetched instruction rather than the ROB copy (the span
+    // stays valid until the next call on the source), so the timing
+    // does not wait on the copy's stores.
+    Cycle readyAt = dispatchInst(t, now, *s.data);
     RobEntry &e = t.rob.pushSlot();
     e.inst = *s.data;
-    dispatchInst(t, now, e);
+    e.readyAt = readyAt;
     return true;
 }
 
-void
-Core::dispatchInst(HwThread &t, Cycle now, RobEntry &e)
+inline Cycle
+Core::dispatchInst(HwThread &t, Cycle now, const Instruction &inst)
 {
-    const Instruction &inst = e.inst;
-    Cycle depReady = 0;
-    if (inst.numSrc >= 1)
-        depReady = std::max(depReady, t.regReady[inst.src1]);
-    if (inst.numSrc >= 2)
-        depReady = std::max(depReady, t.regReady[inst.src2]);
-    // Loads and stores use a register-held address: model the address
-    // dependence through src1 (already covered above).
-
-    Cycle execStart = std::max<Cycle>(now + 1, depReady);
+    // A missing source operand reads noReg, which stays 0. Loads and
+    // stores use a register-held address: model the address
+    // dependence through src1.
+    unsigned r1 = inst.numSrc >= 1 ? inst.src1 : noReg;
+    unsigned r2 = inst.numSrc >= 2 ? inst.src2 : noReg;
+    Cycle execStart =
+        std::max({now + 1, t.regReady[r1], t.regReady[r2]});
     if (params_.inOrder) {
         // Program-order issue: an instruction cannot begin execution
         // before its predecessor began.
@@ -240,84 +237,60 @@ Core::dispatchInst(HwThread &t, Cycle now, RobEntry &e)
         t.lastIssue = execStart;
     }
 
-    unsigned lat;
-    if (inst.cls == InstClass::Load) {
-        lat = l1d_ ? l1d_->access(inst.memAddr, false) : 2;
-    } else if (inst.cls == InstClass::Store) {
-        // Stores retire through a store buffer: keep the tags warm but
-        // do not stall the dependence chain.
-        if (l1d_)
-            l1d_->access(inst.memAddr, true);
-        lat = 1;
-    } else {
-        lat = execLatency(inst.cls);
+    Cycle readyAt = execStart + runGrainExecLatency(inst);
+    t.regReady[inst.hasDst ? inst.dst : sinkReg] = readyAt;
+    Cycle redirect = readyAt + params_.mispredictPenalty;
+    t.fetchStallUntil = inst.mispredict ? redirect : t.fetchStallUntil;
+    return readyAt;
+}
+
+template <typename TryOne>
+void
+Core::shareSlots(unsigned first, TryOne tryOne)
+{
+    unsigned budget = params_.width;
+    unsigned t = first;
+    while (tryOne(threads_[t])) {
+        if (--budget == 0)
+            return;
+        t ^= 1;
     }
-
-    Cycle readyAt = execStart + lat;
-    if (inst.hasDst)
-        t.regReady[inst.dst] = readyAt;
-
-    if (inst.mispredict)
-        t.fetchStallUntil = readyAt + params_.mispredictPenalty;
-
-    e.readyAt = readyAt;
+    HwThread &other = threads_[t ^ 1];
+    while (budget > 0 && tryOne(other))
+        --budget;
 }
 
 void
 Core::tick(Cycle now)
 {
-    ++cycles_;
-    unsigned n = unsigned(threads_.size());
-    if (n == 0)
-        return;
-
-    // Per-cycle condition accounting (before any state changes).
+    // Per-cycle idle accounting (before any state changes).
     for (auto &t : threads_) {
-        if (t.rob.size() >= robCapacity())
-            ++t.stats.robFullCycles;
-        if (now < t.fetchStallUntil)
-            ++t.stats.fetchBubbleCycles;
         if (t.rob.empty() && (!t.src || t.src->stageRun(1) == 0))
             ++t.stats.idleCycles;
     }
 
-    // Commit: up to `width` slots shared round-robin across threads.
-    // A thread whose head is not ready (or is refused by its sink)
-    // yields its slots to the other thread.
-    {
+    // Commit, then dispatch: up to `width` in-order slots each. A
+    // thread whose head is not ready, is refused by its sink, or has
+    // nothing to dispatch gives up the rest of the cycle's slots.
+    if (threads_.size() == 1) {
+        HwThread &t = threads_[0];
         unsigned budget = params_.width;
-        std::array<bool, 2> open{true, n > 1};
-        unsigned t = commitRr_;
-        while (budget > 0 && (open[0] || open[1])) {
-            if (open[t]) {
-                if (tryCommitOne(threads_[t], now))
-                    --budget;
-                else
-                    open[t] = false;
-            }
-            if (++t == n)
-                t = 0;
-        }
-        commitRr_ = commitRr_ + 1 == n ? 0 : commitRr_ + 1;
+        while (budget > 0 && tryCommitOne(t, now))
+            --budget;
+        budget = params_.width;
+        while (budget > 0 && tryDispatchOne(t, now))
+            --budget;
+        return;
     }
-
-    // Dispatch: same slot-by-slot sharing.
-    {
-        unsigned budget = params_.width;
-        std::array<bool, 2> open{true, n > 1};
-        unsigned t = dispatchRr_;
-        while (budget > 0 && (open[0] || open[1])) {
-            if (open[t]) {
-                if (tryDispatchOne(threads_[t], now))
-                    --budget;
-                else
-                    open[t] = false;
-            }
-            if (++t == n)
-                t = 0;
-        }
-        dispatchRr_ = dispatchRr_ + 1 == n ? 0 : dispatchRr_ + 1;
-    }
+    if (threads_.empty())
+        return;
+    // Two threads share each cycle's slots round-robin, and the
+    // thread that goes first alternates every cycle.
+    shareSlots(firstThread_,
+               [this, now](HwThread &t) { return tryCommitOne(t, now); });
+    shareSlots(firstThread_,
+               [this, now](HwThread &t) { return tryDispatchOne(t, now); });
+    firstThread_ ^= 1;
 }
 
 bool
@@ -335,7 +308,6 @@ Core::resetStats()
 {
     for (auto &t : threads_)
         t.stats = ThreadStats{};
-    cycles_ = 0;
 }
 
 } // namespace fade

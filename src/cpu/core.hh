@@ -52,13 +52,10 @@ CoreParams aggressiveOooParams();
 /** Per-hardware-thread statistics. */
 struct ThreadStats
 {
-    std::uint64_t retired = 0;
     /** Cycles a completed head-of-ROB was refused by the commit sink. */
     std::uint64_t sinkStallCycles = 0;
     /** Cycles with an empty ROB and no instruction supplied. */
     std::uint64_t idleCycles = 0;
-    std::uint64_t robFullCycles = 0;
-    std::uint64_t fetchBubbleCycles = 0;
 };
 
 /**
@@ -177,14 +174,11 @@ class Core
      *  batch-applying modeled condition counters. */
     ThreadStats &runGrainThreadStats(unsigned t);
 
-    /** Run-grain engine support: batch-apply @p n elapsed cycles. */
-    void runGrainAddCycles(std::uint64_t n) { cycles_ += n; }
-
     /** The thread's ROB partition (run-grain model geometry). */
     unsigned robPartition() const { return robCap_; }
-    std::uint64_t cycles() const { return cycles_; }
 
-    /** All ROBs empty and no source has work. */
+    /** Every thread's ROB is empty. Sources are not consulted: the
+     *  caller checks its own source for work. */
     bool drained() const;
 
     void resetStats();
@@ -196,6 +190,12 @@ class Core
         Cycle readyAt = 0;
     };
 
+    /** Spare regReady slots: noReg always reads 0 and stands in for
+     *  a missing source operand; sinkReg absorbs the write of an
+     *  instruction without a destination. */
+    static constexpr unsigned noReg = numArchRegs;
+    static constexpr unsigned sinkReg = numArchRegs + 1;
+
     struct HwThread
     {
         InstSource *src = nullptr;
@@ -203,7 +203,7 @@ class Core
         /** Reorder buffer: bounded FIFO in one contiguous ring (sized
          *  once in addThread; never reallocates afterwards). */
         RingDeque<RobEntry> rob;
-        std::array<Cycle, numArchRegs> regReady{};
+        std::array<Cycle, numArchRegs + 2> regReady{};
         /** In-order cores: issue time of the previously dispatched op. */
         Cycle lastIssue = 0;
         /** Fetch stalled until this cycle (branch redirect). */
@@ -211,21 +211,28 @@ class Core
         ThreadStats stats;
     };
 
-    unsigned robCapacity() const;
     bool tryCommitOne(HwThread &t, Cycle now);
     bool tryDispatchOne(HwThread &t, Cycle now);
-    /** Timing computation for the just-claimed ROB entry @p e (its
-     *  instruction is already in place). */
-    void dispatchInst(HwThread &t, Cycle now, RobEntry &e);
+    /** Issue @p inst on @p t at cycle @p now: update the thread's
+     *  register and fetch timing and return the completion cycle. */
+    Cycle dispatchInst(HwThread &t, Cycle now, const Instruction &inst);
+    /**
+     * Share the cycle's width between the two threads, starting at
+     * @p first: alternate while both succeed; the first thread whose
+     * @p tryOne fails closes, and the other then takes the remaining
+     * slots until it fails or the width is spent.
+     */
+    template <typename TryOne>
+    void shareSlots(unsigned first, TryOne tryOne);
 
     CoreParams params_;
     Cache *l1d_;
     std::vector<HwThread> threads_;
-    unsigned commitRr_ = 0;
-    unsigned dispatchRr_ = 0;
+    /** Two-thread cores: the thread offered the first commit and the
+     *  first dispatch slot this cycle (flips every cycle). */
+    unsigned firstThread_ = 0;
     /** robSize / numThreads, cached off the per-cycle paths. */
     unsigned robCap_ = 0;
-    std::uint64_t cycles_ = 0;
 };
 
 } // namespace fade

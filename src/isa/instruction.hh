@@ -73,11 +73,22 @@ enum TruthBits : std::uint8_t
 
 /**
  * One dynamic instruction. Plain aggregate for speed; the generator
- * fills every field it needs and leaves the rest zeroed.
+ * fills every field it needs and leaves the rest zeroed. Members are
+ * ordered widest first so the record packs into 40 bytes: it is copied
+ * into every reorder-buffer entry, span and handler sequence.
  */
 struct Instruction
 {
     Addr pc = 0;
+
+    /** Effective address for Load/Store (word aligned). */
+    Addr memAddr = 0;
+
+    /** Call/Return: frame base address (low address of the frame). */
+    Addr frameBase = 0;
+    /** Call/Return: stack frame size in bytes. */
+    std::uint32_t frameBytes = 0;
+
     InstClass cls = InstClass::Nop;
 
     RegIndex src1 = 0;
@@ -86,8 +97,6 @@ struct Instruction
     RegIndex dst = 0;
     bool hasDst = false;
 
-    /** Effective address for Load/Store (word aligned). */
-    Addr memAddr = 0;
     std::uint8_t memSize = 4;
 
     ThreadId tid = 0;
@@ -102,11 +111,6 @@ struct Instruction
      * monitors eliminate at the source.
      */
     bool mayPropagate = true;
-
-    /** Call/Return: stack frame size in bytes. */
-    std::uint32_t frameBytes = 0;
-    /** Call/Return: frame base address (low address of the frame). */
-    Addr frameBase = 0;
 
     /**
      * HighLevel pseudo-instructions: the instrumented runtime event
@@ -133,6 +137,10 @@ struct Instruction
         return cls == InstClass::Call || cls == InstClass::Return;
     }
 };
+
+static_assert(sizeof(Instruction) == 40,
+              "Instruction grew: keep the Addr members first and the "
+              "one-byte members last");
 
 /**
  * Execution latency of an instruction class, excluding memory access

@@ -25,22 +25,23 @@ MonitorProcess::startNextHandler()
     if (ueq_ ? ueq_->empty() : eq_->empty())
         return false;
 
-    UnfilteredEvent u;
+    // Fill the pending entry in place, copying the event once out of
+    // its queue (popRun(1) is accounted exactly as pop()). An event
+    // from the raw queue was never checked by hardware.
+    PendingHandler &p = pending_.pushSlot();
     if (ueq_) {
-        u = ueq_->pop();
+        p.u = ueq_->front();
+        ueq_->popRun(1);
     } else {
-        u.ev = eq_->pop();
-        u.hwChecked = false;
+        p.u = UnfilteredEvent{eq_->front()};
+        eq_->popRun(1);
     }
 
     seq_.clear();
     fetchIdx_ = 0;
-    PendingHandler p;
-    p.u = u;
-    p.cls = mon_.prepareHandler(u, ctx_, seq_);
+    p.cls = mon_.prepareHandler(p.u, ctx_, seq_);
     panic_if(seq_.empty(), "monitor handler sequence must be non-empty");
     p.remaining = seq_.size();
-    pending_.push_back(std::move(p));
     return true;
 }
 

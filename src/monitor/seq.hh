@@ -40,13 +40,12 @@ class SeqBuilder
     SeqBuilder &
     alu(unsigned nsrc = 2)
     {
-        Instruction i = base(InstClass::IntAlu);
+        Instruction &i = emit(InstClass::IntAlu);
         i.numSrc = std::uint8_t(nsrc);
         i.src1 = cursor(3);
         i.src2 = cursor(5);
         i.hasDst = true;
         i.dst = nextDst();
-        out_.push_back(i);
         return *this;
     }
 
@@ -54,13 +53,12 @@ class SeqBuilder
     SeqBuilder &
     aluDep()
     {
-        Instruction i = base(InstClass::IntAlu);
+        Instruction &i = emit(InstClass::IntAlu);
         i.numSrc = 2;
         i.src1 = lastDst_;
         i.src2 = cursor(5);
         i.hasDst = true;
         i.dst = nextDst();
-        out_.push_back(i);
         return *this;
     }
 
@@ -68,13 +66,12 @@ class SeqBuilder
     SeqBuilder &
     load(Addr addr)
     {
-        Instruction i = base(InstClass::Load);
+        Instruction &i = emit(InstClass::Load);
         i.memAddr = addr;
         i.numSrc = 1;
         i.src1 = cursor(3);
         i.hasDst = true;
         i.dst = nextDst();
-        out_.push_back(i);
         return *this;
     }
 
@@ -82,13 +79,12 @@ class SeqBuilder
     SeqBuilder &
     loadDep(Addr addr)
     {
-        Instruction i = base(InstClass::Load);
+        Instruction &i = emit(InstClass::Load);
         i.memAddr = addr;
         i.numSrc = 1;
         i.src1 = lastDst_;
         i.hasDst = true;
         i.dst = nextDst();
-        out_.push_back(i);
         return *this;
     }
 
@@ -96,12 +92,11 @@ class SeqBuilder
     SeqBuilder &
     store(Addr addr)
     {
-        Instruction i = base(InstClass::Store);
+        Instruction &i = emit(InstClass::Store);
         i.memAddr = addr;
         i.numSrc = 2;
         i.src1 = lastDst_;
         i.src2 = cursor(3);
-        out_.push_back(i);
         return *this;
     }
 
@@ -109,11 +104,10 @@ class SeqBuilder
     SeqBuilder &
     branch(bool mispredict = false)
     {
-        Instruction i = base(InstClass::Branch);
+        Instruction &i = emit(InstClass::Branch);
         i.numSrc = 1;
         i.src1 = lastDst_;
         i.mispredict = mispredict;
-        out_.push_back(i);
         return *this;
     }
 
@@ -121,10 +115,9 @@ class SeqBuilder
     SeqBuilder &
     jumpInd()
     {
-        Instruction i = base(InstClass::JumpInd);
+        Instruction &i = emit(InstClass::JumpInd);
         i.numSrc = 1;
         i.src1 = lastDst_;
-        out_.push_back(i);
         return *this;
     }
 
@@ -164,10 +157,12 @@ class SeqBuilder
     }
 
   private:
-    Instruction
-    base(InstClass c)
+    /** Append the next instruction of class @p c and return it for
+     *  the caller to fill in place (valid until the next append). */
+    Instruction &
+    emit(InstClass c)
     {
-        Instruction i;
+        Instruction &i = out_.emplace_back();
         i.cls = c;
         i.pc = pc_;
         i.tid = tid_;

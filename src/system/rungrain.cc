@@ -97,7 +97,6 @@ RunGrainDriver::runHandler(Cycle avail)
     InstSpan seq = mproc_ ? mproc_->fetchSpan(SIZE_MAX) : InstSpan{};
     panic_if(seq.empty(), "run-grain handler expected but none pending");
     HandlerSpan span;
-    ThreadStats &ms = monHost_->runGrainThreadStats(sys_.monCore_ ? 0 : 1);
     Cycle gate = avail + monPopDelay_;
     for (std::size_t k = 0; k < seq.count; ++k) {
         const Instruction &hi = seq.data[k];
@@ -106,9 +105,6 @@ RunGrainDriver::runHandler(Cycle avail)
             monT_.retire(hi, lat, k == 0 ? gate : 0, 0);
         if (k == 0)
             span.start = r.dispatched;
-        ++ms.retired;
-        ms.robFullCycles += r.robWait;
-        ms.fetchBubbleCycles += r.fetchWait;
         stats_.cyclesFastForwarded += r.robWait + r.fetchWait;
         mproc_->commit(hi);
     }
@@ -262,8 +258,6 @@ RunGrainDriver::processSpan(const Instruction *insts, std::size_t n)
             RunGrainThread::Retire r =
                 appT_.retire(insts[i], lat, 0, sinkGate);
             as.sinkStallCycles += r.sinkWait;
-            as.robFullCycles += r.robWait;
-            as.fetchBubbleCycles += r.fetchWait;
             ff += r.sinkWait + r.robWait + r.fetchWait;
             if (monitored)
                 processEvent(spanEvents_[ev++], r.committed);
@@ -271,7 +265,6 @@ RunGrainDriver::processSpan(const Instruction *insts, std::size_t n)
         s = e;
     }
 
-    as.retired += n;
     stats_.cyclesFastForwarded += ff;
     stats_.instructions += n;
 }
@@ -306,9 +299,6 @@ RunGrainDriver::runUntil(std::uint64_t maxCycles,
         sys_.now_ = end;
 
     std::uint64_t elapsed = sys_.now_ - start;
-    appCore_->runGrainAddCycles(elapsed);
-    if (sys_.monCore_)
-        sys_.monCore_->runGrainAddCycles(elapsed);
     std::uint64_t ff = stats_.cyclesFastForwarded - ffBefore;
     std::uint64_t stepped = stats_.cyclesStepped - stepBefore;
     if (elapsed > ff + stepped)

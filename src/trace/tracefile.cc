@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/regfiles.hh"
 #include "sim/logging.hh"
 #include "trace/wire.hh"
 
@@ -148,6 +149,14 @@ decodeRecord(Dec &d, DeltaState &st, Instruction &out)
         out.src2 = d.u8();
         out.numSrc = d.u8();
         out.dst = d.u8();
+        // Both engines index per-register tables with these.
+        unsigned reg = std::max({out.src1, out.src2, out.dst});
+        if (reg >= numArchRegs)
+            d.fail("register index " + std::to_string(reg) +
+                   " out of range");
+        if (out.numSrc > 2)
+            d.fail("invalid source operand count " +
+                   std::to_string(out.numSrc));
     }
     if (flags1 & f1HasMem) {
         st.memAddr += d.svarint();
@@ -164,8 +173,15 @@ decodeRecord(Dec &d, DeltaState &st, Instruction &out)
     }
     if (flags1 & f1HasTruth)
         out.truth = d.u8();
-    if (flags1 & f1TidChanged)
+    if (flags1 & f1TidChanged) {
         st.tid = d.u8();
+        // Bounded by the metadata register file, not by the stream's
+        // numThreads: an injected atomicity bug writes tid 1 into a
+        // one-thread stream.
+        if (st.tid >= maxThreads)
+            d.fail("thread id " + std::to_string(st.tid) +
+                   " out of range");
+    }
     out.tid = st.tid;
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "cpu/core.hh"
+#include "sim/random.hh"
 #include "testutil.hh"
 #include "trace/generator.hh"
 
@@ -91,6 +93,131 @@ runToCompletion(Core &core, CountSink &sink, std::uint64_t expect,
     while (sink.committed < expect && now < limit)
         core.tick(now++);
     return now;
+}
+
+/** What a scripted source or sink saw, in call order. */
+struct SlotCall
+{
+    enum Kind : unsigned { Commit, Refuse, Dispatch, EmptyFetch };
+    Cycle cycle;
+    unsigned tid;
+    Kind kind;
+};
+
+/**
+ * Source whose instruction k becomes available at cycle release[k]
+ * (runs separated by gaps), served one at a time as the core fetches;
+ * logs every fetch, served or empty.
+ */
+class ScriptSource : public InstSource
+{
+  public:
+    ScriptSource(std::vector<Instruction> v, std::vector<Cycle> release,
+                 const Cycle &now, unsigned tid,
+                 std::vector<SlotCall> &log)
+        : v_(std::move(v)), release_(std::move(release)), now_(now),
+          tid_(tid), log_(log)
+    {}
+
+    std::size_t
+    stageRun(std::size_t n) override
+    {
+        return n > 0 && i_ < v_.size() && release_[i_] <= now_ ? 1 : 0;
+    }
+
+    InstSpan
+    fetchSpan(std::size_t max) override
+    {
+        InstSpan s{v_.data() + i_, stageRun(max)};
+        i_ += s.count;
+        log_.push_back(
+            {now_, tid_, s.count ? SlotCall::Dispatch : SlotCall::EmptyFetch});
+        return s;
+    }
+
+  private:
+    std::vector<Instruction> v_;
+    std::vector<Cycle> release_;
+    std::size_t i_ = 0;
+    const Cycle &now_;
+    unsigned tid_;
+    std::vector<SlotCall> &log_;
+};
+
+/** Sink that refuses on a fixed cycle schedule; logs every call. */
+class ScriptSink : public CommitSink
+{
+  public:
+    ScriptSink(const Cycle &now, unsigned tid, std::vector<SlotCall> &log)
+        : now_(now), tid_(tid), log_(log)
+    {}
+
+    bool
+    commit(const Instruction &) override
+    {
+        bool refuse = (now_ + 3 * tid_) % 11 < 2;
+        log_.push_back(
+            {now_, tid_, refuse ? SlotCall::Refuse : SlotCall::Commit});
+        committed += !refuse;
+        return !refuse;
+    }
+
+    std::uint64_t committed = 0;
+
+  private:
+    const Cycle &now_;
+    unsigned tid_;
+    std::vector<SlotCall> &log_;
+};
+
+/** Seeded instruction mix for one thread: dependent ALU chains,
+ *  multiplies, loads and stores, and mispredicted branches, released
+ *  in runs of 1..40 instructions separated by gaps of 0..60 cycles. */
+void
+scriptThread(std::uint64_t seed, std::size_t n,
+             std::vector<Instruction> &insts, std::vector<Cycle> &release)
+{
+    Rng rng(seed);
+    Cycle at = 0;
+    std::size_t runLeft = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        if (runLeft == 0) {
+            runLeft = 1 + rng.range(40);
+            at += rng.range(61);
+        }
+        --runLeft;
+        release.push_back(at);
+
+        Instruction i;
+        i.numSrc = std::uint8_t(rng.range(3));
+        i.src1 = RegIndex(rng.range(numArchRegs));
+        i.src2 = RegIndex(rng.range(numArchRegs));
+        i.dst = RegIndex(rng.range(numArchRegs));
+        i.hasDst = true;
+        switch (rng.range(8)) {
+          case 0:
+            i.cls = InstClass::Load;
+            i.memAddr = Addr(rng.range(1 << 16)) * wordSize;
+            break;
+          case 1:
+            i.cls = InstClass::Store;
+            i.memAddr = Addr(rng.range(1 << 16)) * wordSize;
+            i.hasDst = false;
+            break;
+          case 2:
+            i.cls = InstClass::Branch;
+            i.mispredict = rng.range(3) == 0;
+            i.hasDst = false;
+            break;
+          case 3:
+            i.cls = InstClass::IntMul;
+            break;
+          default:
+            i.cls = InstClass::IntAlu;
+            break;
+        }
+        insts.push_back(i);
+    }
 }
 
 } // namespace
@@ -247,6 +374,85 @@ TEST(CoreModel, SmtSharesBandwidthFairly)
     EXPECT_GT(sb.committed, 1000u);
     double ratio = double(sa.committed) / double(sb.committed);
     EXPECT_NEAR(ratio, 1.0, 0.2);
+}
+
+TEST(CoreModel, SmtSlotArbitrationPinned)
+{
+    // Pins the per-cycle slot arbitration of a two-thread core: every
+    // commit (accepted or refused) and every fetch (served or empty),
+    // in call order with its cycle and thread, plus the final
+    // sink-stall and idle counters, hashed and compared with values
+    // recorded before the arbitration loop was rewritten.
+    struct Case
+    {
+        CoreParams params;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {{aggressiveOooParams(), 0xca9e6b8bbfaf2148ull},
+                          {leanOooParams(), 0x91da868c0320853eull},
+                          {inOrderParams(), 0x8cf91322a0ad51a9ull}};
+    constexpr std::size_t kInsts = 1500;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.params.name);
+        const unsigned width = c.params.width;
+        Cycle now = 0;
+        std::vector<SlotCall> log;
+        std::vector<Instruction> ia, ib;
+        std::vector<Cycle> ra, rb;
+        scriptThread(width * 2 + 1, kInsts, ia, ra);
+        scriptThread(width * 2 + 2, kInsts, ib, rb);
+        ScriptSource srcA(ia, ra, now, 0, log), srcB(ib, rb, now, 1, log);
+        ScriptSink sinkA(now, 0, log), sinkB(now, 1, log);
+        Cache l2(l2Params(), nullptr, dramLatency);
+        Cache l1(l1Params("arb"), &l2);
+        Core core(c.params, &l1);
+        core.addThread(&srcA, &sinkA);
+        core.addThread(&srcB, &sinkB);
+        for (; now < 200000; ++now) {
+            if (sinkA.committed == kInsts && sinkB.committed == kInsts)
+                break;
+            core.tick(now);
+        }
+        ASSERT_EQ(sinkA.committed, kInsts);
+        ASSERT_EQ(sinkB.committed, kInsts);
+
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        auto mix = [&h](std::uint64_t v) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xFF;
+                h *= 0x100000001b3ull;
+            }
+        };
+        // Per cycle and thread: the most slots one thread took.
+        std::array<std::array<unsigned, 2>, 2> mostSlots{};
+        std::array<std::array<unsigned, 2>, 2> inCycle{};
+        Cycle cur = ~Cycle(0);
+        for (const SlotCall &s : log) {
+            mix(s.cycle);
+            mix(s.tid);
+            mix(s.kind);
+            if (s.cycle != cur) {
+                inCycle = {};
+                cur = s.cycle;
+            }
+            if (s.kind == SlotCall::Commit || s.kind == SlotCall::Dispatch) {
+                unsigned k = s.kind == SlotCall::Commit ? 0 : 1;
+                unsigned &n = inCycle[k][s.tid];
+                mostSlots[k][s.tid] = std::max(mostSlots[k][s.tid], ++n);
+            }
+        }
+        for (unsigned t = 0; t < 2; ++t) {
+            SCOPED_TRACE(t);
+            const ThreadStats &st = core.threadStats(t);
+            EXPECT_GT(st.sinkStallCycles, 0u);
+            EXPECT_GT(st.idleCycles, 0u);
+            mix(st.sinkStallCycles);
+            mix(st.idleCycles);
+            EXPECT_EQ(mostSlots[0][t], width) << "commit";
+            EXPECT_EQ(mostSlots[1][t], width) << "dispatch";
+        }
+        EXPECT_EQ(h, c.hash) << std::hex << "0x" << h;
+    }
 }
 
 TEST(CoreModel, AtMostTwoThreads)

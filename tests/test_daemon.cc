@@ -199,11 +199,12 @@ captureSmall(const std::string &path, const std::string &monitor,
 }
 
 /** Write the trace at @p from out again to @p to through the library's
- *  own TraceWriter — streams verbatim, valid CRCs — with @p edit
- *  applied to its manifest. */
+ *  own TraceWriter — valid CRCs — with @p edit applied to its manifest
+ *  and @p editRecord, when given, to every record. */
 void
-rewriteManifest(const std::string &from, const std::string &to,
-                const std::function<void(TraceManifest &)> &edit)
+rewriteTrace(const std::string &from, const std::string &to,
+             const std::function<void(TraceManifest &)> &edit,
+             const std::function<void(Instruction &)> &editRecord = {})
 {
     TraceReader r(from);
     TraceWriter w(to);
@@ -211,8 +212,12 @@ rewriteManifest(const std::string &from, const std::string &to,
         w.addStream(r.stream(s));
     for (unsigned s = 0; s < r.numStreams(); ++s) {
         ReplaySource src(r, s);
-        while (src.stageRun(1) != 0)
-            w.append(s, test::fetchOne(src));
+        while (src.stageRun(1) != 0) {
+            Instruction inst = test::fetchOne(src);
+            if (editRecord)
+                editRecord(inst);
+            w.append(s, inst);
+        }
     }
     TraceManifest m = r.manifest();
     edit(m);
@@ -466,7 +471,7 @@ runFuzzCase(const FuzzCase &c)
         trace = dir.file("edited.ftrace");
         captureSmall(capture, c.captureMonitor, c.captureProfile,
                      c.captureShards);
-        rewriteManifest(capture, trace, [&](TraceManifest &m) {
+        rewriteTrace(capture, trace, [&](TraceManifest &m) {
             editManifest(m, c.editField, c.editValue);
         });
     }
@@ -1048,7 +1053,7 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
     for (const auto &[what, edit] : edits) {
         std::string path =
             dir.file(("edit" + std::to_string(cases.size())).c_str());
-        rewriteManifest(capture, path, edit);
+        rewriteTrace(capture, path, edit);
         WireSessionConfig wc;
         wc.upload = true;
         cases.push_back({std::string("upload, manifest ") + what, wc,
@@ -1077,7 +1082,7 @@ TEST(DaemonFuzz, UploadThatRunsDryGetsTypedError)
     const std::string capture = dir.file("capture.ftrace");
     const std::string edited = dir.file("edited.ftrace");
     captureSmall(capture, "MemLeak", "gcc", 1);
-    rewriteManifest(capture, edited, [](TraceManifest &m) {
+    rewriteTrace(capture, edited, [](TraceManifest &m) {
         m.measureInstructions += 1000;
     });
 
@@ -1095,6 +1100,40 @@ TEST(DaemonFuzz, UploadThatRunsDryGetsTypedError)
         EXPECT_FALSE(o.ok);
         EXPECT_EQ(o.error.reason, Reason::BadTrace);
         EXPECT_NE(o.error.message.find("ran dry"), std::string::npos)
+            << o.error.message;
+        expectDaemonServes(sock.path());
+    }
+    daemon.stop();
+}
+
+TEST(DaemonFuzz, OutOfRangeRegistersGetTypedError)
+{
+    // An upload whose records name register 200 passes header
+    // validation; decoding its first block mid-run must end the session
+    // with BadTrace under either engine, before any core indexes its
+    // register tables with it, and the daemon then serves a clean one.
+    TempDir dir;
+    const std::string capture = dir.file("capture.ftrace");
+    const std::string edited = dir.file("edited.ftrace");
+    captureSmall(capture, "AddrCheck", "mcf", 1);
+    rewriteTrace(capture, edited, [](TraceManifest &) {},
+                 [](Instruction &i) { i.src1 = i.dst = 200; });
+
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
+    for (std::uint8_t engine : {0, 2}) {
+        SCOPED_TRACE(int(engine));
+        WireSessionConfig wc;
+        wc.upload = true;
+        wc.engine = engine;
+        SessionOutcome o = runSession(sock.path(), wc, edited);
+        EXPECT_FALSE(o.ok);
+        EXPECT_EQ(o.error.reason, Reason::BadTrace);
+        EXPECT_NE(o.error.message.find("register index 200"),
+                  std::string::npos)
             << o.error.message;
         expectDaemonServes(sock.path());
     }

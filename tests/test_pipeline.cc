@@ -313,7 +313,8 @@ TEST(RunGrainEngine, PolicyInvariantAcrossShardCounts)
     // than it does into per-cycle results: Lockstep and ParallelBatched
     // agree bit for bit on the full fingerprint, for flat shard counts
     // and for fig12's clustered shapes, under AddrCheck and under
-    // fig12's MemLeak (bench/fig12_multicore_scaling.cc).
+    // fig12's MemLeak (bench/fig12_multicore_scaling.cc), and on a
+    // shape whose result depends on where the barriers fall.
     struct Shape
     {
         unsigned shards, clusters, fades;
@@ -338,6 +339,29 @@ TEST(RunGrainEngine, PolicyInvariantAcrossShardCounts)
             EXPECT_TRUE(test::sameStats(runOnce(cfg, 3000, 6000), a));
         }
     }
+
+    // The hmmer mix gives one result at every slice size, so it cannot
+    // tell a policy that places barriers differently from Lockstep.
+    // Eight copies of mcf can: in this window their result depends on
+    // the slice size (the guard keeps it so), so agreement checks that
+    // ParallelBatched keeps Lockstep's barriers.
+    SCOPED_TRACE("AddrCheck mcf x8");
+    constexpr std::uint64_t kMcfWarm = 39000, kMcfRun = 8000;
+    MultiCoreConfig mcf;
+    mcf.numShards = 8;
+    mcf.monitor = "AddrCheck";
+    mcf.workloads = {specProfile("mcf")};
+    mcf.engine = Engine::RunGrain;
+    mcf.scheduler.hostThreads = 4;
+    StatVector lock = runOnce(mcf, kMcfWarm, kMcfRun);
+    MultiCoreConfig halfSlice = mcf;
+    halfSlice.scheduler.sliceTicks /= 2;
+    ASSERT_FALSE(runOnce(halfSlice, kMcfWarm, kMcfRun).values ==
+                 lock.values)
+        << "two slice sizes gave the same result: the shape no longer "
+           "depends on barrier placement";
+    mcf.scheduler.policy = SchedulerPolicy::ParallelBatched;
+    EXPECT_TRUE(test::sameStats(runOnce(mcf, kMcfWarm, kMcfRun), lock));
 }
 
 TEST(RunGrainEngine, FunctionalInvariantAcrossTopologies)

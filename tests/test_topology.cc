@@ -139,7 +139,8 @@ TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
     // run of the per-cycle reference must agree bit for bit: the
     // scheduler's equality argument extends to clustered, multi-FADE
     // systems. The matrix is every 4-shard shape plus fig12's largest,
-    // 8 shards x 4 clusters x 2 FADEs. (Run-grain's policy invariance
+    // 8 shards x 4 clusters x 2 FADEs, and one flat shape whose result
+    // depends on where the barriers fall. (Run-grain's policy invariance
     // is pinned in tests/test_pipeline.cc and tests/test_threads.cc.)
     struct Shape
     {
@@ -162,6 +163,31 @@ TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
             EXPECT_EQ(t.reports, ref.reports);
         }
     }
+
+    // The hmmer mix gives one result at every slice size, so it cannot
+    // tell a policy that places barriers differently from Lockstep.
+    // Eight copies of mcf can: in this window their result depends on
+    // the slice size (the guard keeps it so), so agreement checks that
+    // ParallelBatched keeps Lockstep's barriers.
+    SCOPED_TRACE("AddrCheck mcf x8");
+    MultiCoreConfig mcf;
+    mcf.numShards = 8;
+    mcf.monitor = "AddrCheck";
+    mcf.workloads = {specProfile("mcf")};
+    mcf.scheduler.hostThreads = 4;
+    auto run = [](const MultiCoreConfig &cfg) {
+        MultiCoreSystem sys(cfg);
+        sys.warmup(5000);
+        return resultStats(sys, sys.run(60000));
+    };
+    StatVector lock = run(mcf);
+    MultiCoreConfig halfSlice = mcf;
+    halfSlice.scheduler.sliceTicks /= 2;
+    ASSERT_FALSE(run(halfSlice).values == lock.values)
+        << "two slice sizes gave the same result: the shape no longer "
+           "depends on barrier placement";
+    mcf.scheduler.policy = SchedulerPolicy::ParallelBatched;
+    EXPECT_TRUE(test::sameStats(run(mcf), lock));
 }
 
 TEST(Topology, RoutingIsolationAcrossClusters)

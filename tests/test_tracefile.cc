@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/regfiles.hh"
 #include "sim/random.hh"
 #include "system/multicore.hh"
 #include "testutil.hh"
@@ -174,14 +175,14 @@ fuzzInst(Rng &rng)
     Instruction i;
     i.pc = addr();
     i.cls = InstClass(rng.range(unsigned(InstClass::NumClasses)));
-    i.src1 = RegIndex(rng.range(64));
-    i.src2 = RegIndex(rng.range(64));
+    i.src1 = RegIndex(rng.range(numArchRegs));
+    i.src2 = RegIndex(rng.range(numArchRegs));
     i.numSrc = std::uint8_t(rng.range(3));
-    i.dst = RegIndex(rng.range(64));
+    i.dst = RegIndex(rng.range(numArchRegs));
     i.hasDst = rng.chance(0.5);
     i.memAddr = rng.chance(0.5) ? addr() : 0;
     i.memSize = rng.chance(0.8) ? 4 : std::uint8_t(rng.range(16));
-    i.tid = ThreadId(rng.range(8));
+    i.tid = ThreadId(rng.range(maxThreads));
     i.mispredict = rng.chance(0.1);
     i.mayPropagate = rng.chance(0.7);
     i.frameBytes = rng.chance(0.3) ? std::uint32_t(rng.next()) : 0;
@@ -586,6 +587,61 @@ TEST(Malformed, ByteFlipsRejected)
         mut[at] ^= 0xFF;
         writeFile(bad.path(), mut);
         EXPECT_TRUE(readRejects(bad.path())) << "flip at byte " << at;
+    }
+}
+
+TEST(Malformed, OutOfRangeRegistersAndThreadsRejected)
+{
+    // Both engines index per-register and per-thread tables with these
+    // fields, so a record whose register index, source count or thread
+    // id is out of range must fail to decode, not reach the cores.
+    struct Case
+    {
+        const char *what;
+        void (*edit)(Instruction &);
+        const char *says;
+    };
+    const Case cases[] = {
+        {"src1", [](Instruction &i) { i.src1 = numArchRegs; },
+         "register index 32"},
+        {"src2", [](Instruction &i) { i.src2 = 200; },
+         "register index 200"},
+        {"dst", [](Instruction &i) { i.dst = 255; }, "register index 255"},
+        {"numSrc", [](Instruction &i) { i.numSrc = 3; },
+         "source operand count 3"},
+        {"tid", [](Instruction &i) { i.tid = maxThreads; }, "thread id 4"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        TempTrace t;
+        {
+            TraceWriter w(t.path());
+            TraceStreamMeta meta;
+            meta.profile = "bad-fields";
+            w.addStream(meta);
+            Instruction ok;
+            ok.cls = InstClass::IntAlu;
+            ok.numSrc = 2;
+            ok.src1 = numArchRegs - 1;
+            ok.dst = 1;
+            ok.hasDst = true;
+            ok.tid = maxThreads - 1;
+            w.append(0, ok);
+            Instruction bad = ok;
+            c.edit(bad);
+            w.append(0, bad);
+            w.close();
+        }
+        TraceReader r(t.path());
+        TraceReader::Cursor cur = r.cursor(0);
+        Instruction inst;
+        try {
+            cur.next(inst);
+            FAIL() << "record accepted";
+        } catch (const TraceError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.says), std::string::npos)
+                << e.what();
+        }
     }
 }
 
